@@ -13,14 +13,15 @@ than deep inside a cost model), serializes canonically
 (:meth:`to_dict`/:meth:`from_dict`), and hashes to a stable
 :func:`config_fingerprint` that is independent of dict field order.
 A :class:`MachineConfigs` bundle (CPU baseline + SparseCore) is what
-the run pipeline (:func:`repro.workloads.run_workload`), the parallel
-engine, and the design-space explorer (:mod:`repro.explore`) thread
-through; named presets (:func:`get_preset`, starting with ``paper`` =
-Table 2) give sweeps a well-defined origin.
+the run pipeline (:func:`repro.workloads.run_workload`) and the
+design-space explorer (:mod:`repro.explore`) thread through; named
+presets (:func:`get_preset`, starting with ``paper`` = Table 2) give
+sweeps a well-defined origin.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, field, fields, is_dataclass, replace
@@ -35,6 +36,17 @@ def _require(cond: bool, message: str) -> None:
 
 def _is_pow2(n) -> bool:
     return isinstance(n, int) and n > 0 and (n & (n - 1)) == 0
+
+
+def _integral(cfg) -> None:
+    """Every field annotated ``int`` holds an ``int`` (never a ``bool``)."""
+    for f in fields(cfg):
+        if f.type != "int":
+            continue
+        value = getattr(cfg, f.name)
+        _require(isinstance(value, int) and not isinstance(value, bool),
+                 f"{type(cfg).__name__}.{f.name} must be an integer, "
+                 f"got {value!r}")
 
 
 def _positive(cfg, *names) -> None:
@@ -135,6 +147,7 @@ class CacheConfig:
     dram_line_cost: int = 30
 
     def __post_init__(self):
+        _integral(self)
         _positive(self, "l1d_bytes", "l2_bytes", "l3_bytes",
                   "l1_latency", "l2_latency", "l3_latency", "dram_latency",
                   "l2_line_cost", "l3_line_cost", "dram_line_cost")
@@ -174,6 +187,7 @@ class CpuConfig:
     flop_cycles_per_pair: float = 1.0
 
     def __post_init__(self):
+        _integral(self)
         _positive(self, "rob_size", "load_queue_size", "cycles_per_step",
                   "scalar_cpi", "flop_cycles_per_pair")
         _nonnegative(self, "mispredict_penalty")
@@ -230,6 +244,7 @@ class SparseCoreConfig:
     area_per_su_mm2: float = 0.183
 
     def __post_init__(self):
+        _integral(self)
         _positive(self, "num_cores", "rob_size", "load_queue_size",
                   "num_stream_regs", "num_sus", "scache_slot_bytes",
                   "scratchpad_bytes", "scache_bandwidth", "implicit_overlap",
@@ -281,8 +296,20 @@ def config_variant(cfg: SparseCoreConfig, field_name: str,
     SU/bandwidth variants and the :mod:`repro.explore` grid axes all
     derive from the base config here (reusing :meth:`with_sus` /
     :meth:`with_bandwidth` for the figure axes), so an invalid value
-    fails with :class:`ConfigError` before any model runs.
+    fails with :class:`ConfigError` before any model runs.  Configs are
+    frozen values, so each distinct variant is built and validated once
+    per process; every grid point re-prices the same Figure 12/13
+    variants.
     """
+    # ``1 == 1.0`` makes two configs equal that fingerprint apart, so
+    # the field types join the memo key.
+    return _config_variant(cfg, tuple(map(type, vars(cfg).values())),
+                           field_name, value)
+
+
+@functools.lru_cache(maxsize=1024, typed=True)
+def _config_variant(cfg: SparseCoreConfig, _field_types: tuple,
+                    field_name: str, value) -> SparseCoreConfig:
     if field_name == "num_sus":
         return cfg.with_sus(value)
     if field_name == "scache_bandwidth":
@@ -298,12 +325,12 @@ def config_variant(cfg: SparseCoreConfig, field_name: str,
 class MachineConfigs:
     """The machine pair one priced run compares: CPU baseline + SparseCore.
 
-    This bundle is what flows through ``run_workload(..., config=)``,
-    the engine job payload, and the explorer; its :meth:`fingerprint`
-    is part of every priced-result identity (memo keys, engine job
-    keys) while the *trace* cache key stays config-free — traces are
-    recording artifacts, so one cached recording re-prices under any
-    number of configurations.
+    This bundle is what flows through ``run_workload(..., config=)``
+    and the explorer; its :meth:`fingerprint` is part of every
+    priced-result identity (memo keys, sweep rows) while the *trace*
+    cache key stays config-free — traces are recording artifacts, so
+    one cached recording re-prices under any number of
+    configurations.
     """
 
     cpu: CpuConfig = field(default_factory=CpuConfig)

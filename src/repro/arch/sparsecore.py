@@ -24,6 +24,8 @@ Section 4:
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from repro.arch.config import SparseCoreConfig
@@ -41,6 +43,89 @@ OTHER_OVERLAP = 0.6
 RESIDUAL_MISPRED_RATE = 0.08
 
 
+#: Segment reductions kept per trace: one per distinct
+#: (``implicit_overlap``, ``flop_cycles_per_pair``) pair, oldest dropped
+#: first, so a sweep over those two fields cannot grow a trace unboundedly.
+SEGMENT_MEMO_ENTRIES = 8
+
+
+@dataclass(frozen=True)
+class Segments:
+    """The config-independent half of the burst aggregation.
+
+    Ops are grouped into overlap segments (explicit bursts, plus
+    implicit-overlap windows of singleton ops) and each segment reduced
+    to its longest op, total SU work, and moved elements.  That depends
+    on only ``implicit_overlap`` and ``flop_cycles_per_pair``; every
+    other SparseCore field enters per segment (:meth:`times`) or as a
+    scalar over the config-free sums kept alongside.
+    """
+
+    #: op index opening each segment
+    starts: np.ndarray
+    longest: np.ndarray
+    work: np.ndarray
+    moved: np.ndarray
+    #: config-free sums the cost model needs: nested sub-ops, stall cycles
+    n_nested: int
+    sc_mem: float
+
+    def times(self, config: SparseCoreConfig) -> np.ndarray:
+        """Per-segment cycles: ``max(longest op, work / num_sus,
+        elems / bandwidth)``."""
+        return np.maximum(
+            self.longest,
+            np.maximum(self.work / config.num_sus,
+                       self.moved / config.scache_bandwidth),
+        )
+
+
+def _reduce_segments(t: FrozenTrace, implicit_overlap: int,
+                     flop_cycles_per_pair) -> Segments:
+    # Value ops: SVPU FLOPs overlap the SU's key walk; take the max per
+    # op before burst aggregation.
+    su = np.maximum(t.su_cycles.astype(np.float64),
+                    t.flop_pairs * flop_cycles_per_pair)
+    if su.size == 0:
+        starts = np.empty(0, dtype=np.int64)
+        longest = work = moved = starts.astype(np.float64)
+    else:
+        # Group singleton ops into implicit-overlap windows.
+        group = t.burst.copy()
+        singles = group == NO_BURST
+        if singles.any():
+            # Consecutive windows of `implicit_overlap` singleton ops.
+            idx = np.cumsum(singles) - 1
+            group[singles] = -2 - (idx[singles] // max(1, implicit_overlap))
+        # Segment boundaries: group ids are contiguous runs in issue order.
+        starts = np.flatnonzero(
+            np.concatenate(([True], group[1:] != group[:-1])))
+        work = np.add.reduceat(su, starts)
+        longest = np.maximum.reduceat(su, starts)
+        moved = np.add.reduceat(t.eff_elems.astype(np.float64), starts)
+    return Segments(starts=starts, longest=longest, work=work, moved=moved,
+                    n_nested=int(t.nested.sum()),
+                    sc_mem=float(t.sc_mem.sum()))
+
+
+def trace_segments(t: FrozenTrace, config: SparseCoreConfig) -> Segments:
+    """``t``'s segment reduction under ``config``, memoised on ``t``.
+
+    A trace re-priced at many design points (the Figure 12/13 variants,
+    every :mod:`repro.explore` grid point) reduces its segments once
+    per distinct key; each further config costs one pass of
+    :meth:`Segments.times`.
+    """
+    key = (config.implicit_overlap, config.flop_cycles_per_pair)
+    memo = t._segments
+    segments = memo.get(key)
+    if segments is None:
+        if len(memo) >= SEGMENT_MEMO_ENTRIES:
+            del memo[next(iter(memo))]
+        segments = memo[key] = _reduce_segments(t, *key)
+    return segments
+
+
 class SparseCoreModel:
     """Cost model of the SparseCore processor extension."""
 
@@ -51,9 +136,8 @@ class SparseCoreModel:
 
     # -- burst aggregation --------------------------------------------------
 
-    def segment_times(
-        self, su_cycles: np.ndarray, elems: np.ndarray, burst: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def segment_times(self, trace: Trace | FrozenTrace
+                      ) -> tuple[np.ndarray, np.ndarray]:
         """Per-segment stream-compute times under SU/bandwidth limits.
 
         Ops are grouped into overlap segments (explicit bursts, plus
@@ -65,33 +149,9 @@ class SparseCoreModel:
         back over the ops of each segment, so the decomposition it
         prints is the cost model's own arithmetic, not a re-derivation.
         """
-        c = self.config
-        if su_cycles.size == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty.astype(np.float64)
-        # Group singleton ops into implicit-overlap windows.
-        group = burst.copy()
-        singles = group == NO_BURST
-        if singles.any():
-            # Consecutive windows of `implicit_overlap` singleton ops.
-            idx = np.cumsum(singles) - 1
-            group[singles] = -2 - (idx[singles] // max(1, c.implicit_overlap))
-        # Segment boundaries: group ids are contiguous runs in issue order.
-        change = np.flatnonzero(np.concatenate(([True], group[1:] != group[:-1])))
-        work = np.add.reduceat(su_cycles, change)
-        longest = np.maximum.reduceat(su_cycles, change)
-        moved = np.add.reduceat(elems.astype(np.float64), change)
-        times = np.maximum(
-            longest,
-            np.maximum(work / c.num_sus, moved / c.scache_bandwidth),
-        )
-        return change, times
-
-    def _burst_times(
-        self, su_cycles: np.ndarray, elems: np.ndarray, burst: np.ndarray
-    ) -> float:
-        """Total stream-compute time under SU-count/bandwidth limits."""
-        return float(self.segment_times(su_cycles, elems, burst)[1].sum())
+        t = trace.freeze() if isinstance(trace, Trace) else trace
+        segments = trace_segments(t, self.config)
+        return segments.starts, segments.times(self.config)
 
     # -- cost -----------------------------------------------------------------
 
@@ -99,23 +159,17 @@ class SparseCoreModel:
              counters=NULL_COUNTERS) -> CycleReport:
         t = trace.freeze() if isinstance(trace, Trace) else trace
         c = self.config
-
-        # Value ops: SVPU FLOPs overlap the SU's key walk; take the max
-        # per op before burst aggregation.
-        su = np.maximum(
-            t.su_cycles.astype(np.float64),
-            t.flop_pairs * c.flop_cycles_per_pair,
-        )
-        intersection = self._burst_times(su, t.eff_elems, t.burst)
+        segments = trace_segments(t, c)
+        intersection = float(segments.times(c).sum())
 
         # Issue/translation overhead: singleton ops pay decode+SMT issue;
         # nested sub-ops pay the translator's micro-op expansion.
-        n_nested = int(t.nested.sum())
+        n_nested = segments.n_nested
         n_plain = t.num_ops - n_nested
         issue = n_plain * c.op_issue_cycles + n_nested * c.nested_translate_cycles
         intersection += issue
 
-        cache = float(t.sc_mem.sum())
+        cache = segments.sc_mem
 
         # Residual branches: only the plain ops sit inside scalar loops.
         branch = n_plain * RESIDUAL_MISPRED_RATE * 14.0

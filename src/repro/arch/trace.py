@@ -193,6 +193,10 @@ class FrozenTrace:
     shared_scalar_instrs: int
     cpu_only_scalar_instrs: int
     sc_only_scalar_instrs: int
+    #: SparseCore segment reductions, filled by the cost model on first
+    #: use; derived data, so never saved, compared or shown
+    _segments: dict = field(default_factory=dict, init=False, repr=False,
+                            compare=False)
 
     @property
     def num_ops(self) -> int:

@@ -54,12 +54,13 @@ Commands:
 ``explore <workload...> --axis FIELD=VALUES [--preset P] [--json]``
     Design-space sweep: expand one or more ``--axis`` specs
     (``num_sus=1,2,4,8,16``, ``scache_bandwidth=2..64``) into a grid of
-    machine configurations around a named preset, record each workload
-    once through the trace cache, price every (workload, point) pair
-    through the parallel engine, and print cycles, modelled area, the
-    area/cycles Pareto front, and per-axis sensitivity.  ``--smoke`` is
-    the CI gate: a 2-point sweep whose base point must price
-    bit-identically to the non-explore pipeline.
+    machine configurations around a named preset, record the workloads
+    the trace cache lacks through the parallel engine, price every
+    (workload, point) pair in-process from one read of each trace, and
+    print cycles, modelled area, the area/cycles Pareto front, and
+    per-axis sensitivity.  ``--smoke`` is the CI gate: a 2-point sweep
+    whose base point must price bit-identically to the non-explore
+    pipeline.
 ``bench diff OLD.json NEW.json [--tolerance T]``
     Schema-aware benchmark comparison over ``BENCH_wallclock.json`` /
     ``BENCH_profile.json``: flags wall-clock and speedup-ratio
@@ -672,6 +673,7 @@ def _cmd_explore(args) -> int:
                   file=sys.stderr)
             return 1
         print("explore --smoke ok: base point bit-identical, "
+              f"{report.cache['misses']} recording(s), "
               f"cache hit rate {report.cache['hit_rate']:.1%}")
     return 0 if report.ok else 1
 
@@ -863,8 +865,9 @@ def build_parser() -> argparse.ArgumentParser:
     explore.add_argument("--scale", type=float, default=1.0,
                          help="graph scale factor")
     explore.add_argument("--jobs", type=int, default=None,
-                         help="worker processes (default: $REPRO_WORKERS "
-                              "or 1)")
+                         help="worker processes recording the traces the "
+                              "cache lacks; pricing runs in-process "
+                              "(default: $REPRO_WORKERS or 1)")
     explore.add_argument("--graph", default=None,
                          help="graph dataset for GPM workloads")
     explore.add_argument("--matrix", default=None,

@@ -2,10 +2,11 @@
 
 Declarative axes (:mod:`repro.explore.axes`) expand into a grid of
 :class:`~repro.arch.config.MachineConfigs` points; the sweep runner
-(:mod:`repro.explore.sweep`) records each workload once through the
-trace cache and fans per-point pricing jobs through the parallel
-engine; :mod:`repro.explore.pareto` extracts the area/cycles Pareto
-front.  CLI entry point: ``python -m repro explore``.
+(:mod:`repro.explore.sweep`) records the workloads the trace cache
+lacks through the parallel engine, then prices every point from one
+in-memory read of each trace; :mod:`repro.explore.pareto` extracts the
+area/cycles Pareto front.  CLI entry point: ``python -m repro
+explore``.
 """
 
 from repro.explore.axes import (

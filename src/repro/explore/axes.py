@@ -21,7 +21,9 @@ config revalidates on construction — a typo'd axis or an illegal value
 
 from __future__ import annotations
 
+import decimal
 import itertools
+import math
 from dataclasses import dataclass
 
 from repro.arch.config import (
@@ -59,10 +61,18 @@ def _parse_number(text: str, axis: str):
     except ValueError:
         pass
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ConfigError(
             f"axis {axis!r}: {text!r} is not a number") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"axis {axis!r}: {text!r} is not finite")
+    return value
+
+
+def _decimals(text: str) -> int:
+    """Decimal places written in a number (``"0.25"`` -> 2, ``"1e-3"`` -> 3)."""
+    return max(0, -decimal.Decimal(text.strip()).as_tuple().exponent)
 
 
 def _expand_range(spec: str, axis: str) -> list:
@@ -91,10 +101,19 @@ def _expand_range(spec: str, axis: str) -> list:
                 f"axis {axis!r}: {hi} is not {lo} doubled; use an "
                 f"explicit list or lo..hi:step for arithmetic ranges")
     else:
-        value = lo
-        while value <= hi:
-            values.append(value)
-            value += step
+        # lo + i*step, never a running sum (which drifts), with hi kept
+        # when it is on the step grid up to float error, and each value
+        # after lo (kept as written) rounded to the decimals the user
+        # wrote.
+        span = (hi - lo) / step
+        count = round(span) if math.isclose(span, round(span)) \
+            else math.floor(span)
+        if isinstance(lo, int) and isinstance(step, int):
+            values = [lo + i * step for i in range(count + 1)]
+        else:
+            digits = max(_decimals(lo_text), _decimals(step_text))
+            values = [lo] + [round(lo + i * step, digits)
+                             for i in range(1, count + 1)]
     return values
 
 

@@ -3,14 +3,15 @@
 One sweep prices a set of workloads at every point of a configuration
 grid.  The run pipeline's split between *recording* (config-free,
 cached) and *pricing* (config-dependent, cheap) is what makes this
-tractable: the runner records each workload **once** — phase 1 warms
-the content-addressed trace cache through the parallel engine — and
-then fans one pricing job per (workload, grid point) out over the same
-engine, every job re-pricing the cached trace under its own
-:class:`~repro.arch.config.MachineConfigs` (phase 2).  An N-point
-sweep therefore costs one recording plus N pricings per workload, and
-the trace-cache hit rate during the sweep is at least
-``(N - 1) / N`` per workload.
+tractable.  Phase 1 records, through the parallel engine, only the
+workloads whose trace the content-addressed cache lacks.  Phase 2
+reads each workload's trace **once** and prices every grid point from
+that one in-memory :class:`~repro.arch.trace.FrozenTrace`, each under
+its own :class:`~repro.arch.config.MachineConfigs`.  The SparseCore
+model memoises the trace's segment reduction, so each further point
+costs a few vector passes over the segments.  An N-point sweep
+therefore costs at most one recording, one cache read and N pricings
+per workload.
 
 Outputs per workload: the priced grid (cycles, speedup, modelled area
 from :func:`~repro.arch.area.sparsecore_area_mm2`), the Pareto front
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from repro.arch.area import sparsecore_area_mm2
 from repro.arch.config import get_preset
@@ -144,6 +145,11 @@ def _sensitivity(rows: list[dict], axis_fields) -> dict:
     return out
 
 
+def _failure(key: str, exc: Exception) -> dict:
+    return {"key": key, "error": type(exc).__name__,
+            "message": str(exc), "attempts": 1}
+
+
 def run_sweep(workloads, axes, *, preset: str = "paper",
               datasets: dict | None = None, scale: float = 1.0,
               workers: int = 1, cache_dir=None,
@@ -153,13 +159,21 @@ def run_sweep(workloads, axes, *, preset: str = "paper",
     ``axes`` is a sequence of :class:`~repro.explore.axes.Axis` or
     ``field=values`` strings; ``datasets`` optionally maps workload
     name to dataset name (default: each spec's default dataset).
-    Recording is deduplicated through the persistent trace cache — a
-    private temporary cache is used when the default cache is disabled
-    — and pricing fans out through :func:`repro.perf.engine`.
+    Phase 1 records the workloads whose trace is missing from the
+    persistent trace cache — a private temporary cache is used when the
+    default cache is disabled — through
+    :func:`repro.perf.engine.run_jobs_report` over ``workers``
+    processes.  Phase 2 reads each trace once and prices every grid
+    point from it in this process.  Pricing is deterministic, so a
+    point whose pricing raises is reported once, never retried; a
+    workload whose trace can be neither read nor recorded skips its
+    points.
     """
     from repro.obs.spans import clock
     from repro.perf.cache import RunCache, default_run_cache
     from repro.perf.engine import RunJob, job_key, run_jobs_report
+    from repro.record import normalize_backend
+    from repro.workloads import price_run, run_fingerprint, run_workload
 
     axes = parse_axes([a for a in axes if isinstance(a, str)]) \
         if all(isinstance(a, str) for a in axes) else tuple(axes)
@@ -167,18 +181,29 @@ def run_sweep(workloads, axes, *, preset: str = "paper",
         raise ConfigError("a sweep needs at least one --axis")
     base = get_preset(preset)
     points: list[GridPoint] = grid_points(axes, base)
+    # Per-point facts shared by every workload's row.
+    facts = [(point, point.fingerprint(),
+              sparsecore_area_mm2(point.config.sparsecore))
+             for point in points]
+    axis_fields = [a.field for a in axes]
+    backend = normalize_backend(backend)
 
     specs = []
     for name in workloads:
         spec = get_workload(name)
-        dataset = (datasets or {}).get(spec.name)
-        dspec = spec.resolve_dataset(dataset)
+        dspec = spec.resolve_dataset((datasets or {}).get(spec.name))
         eff_scale = scale if spec.dataset_kind == "graph" else 1.0
-        specs.append((spec, dspec.key, eff_scale))
+        specs.append((spec, dspec,
+                      RunJob(spec.family, spec.app, dspec.key, eff_scale)))
 
     led = clock()
     sweep_t0 = led.start()
     start = time.perf_counter()
+    report = SweepReport(
+        preset=preset,
+        axes=[{"field": a.field, "values": list(a.values)} for a in axes],
+        n_points=len(points),
+    )
 
     tmp = None
     cache = RunCache(cache_dir) if cache_dir is not None \
@@ -190,37 +215,72 @@ def run_sweep(workloads, axes, *, preset: str = "paper",
         tmp = tempfile.TemporaryDirectory(prefix="repro-explore-")
         cache = RunCache(tmp.name)
     try:
-        entries_before = cache.stats()["entries"]
+        # Phase 1 — record, through the engine, only what the cache
+        # lacks (the trace cache key is config-free, so one recording
+        # serves every point).
+        missing = {job_key(job): job for spec, dspec, job in specs
+                   if run_fingerprint(spec, dspec, job.scale, backend)
+                   not in cache}
+        recorded = run_jobs_report(list(missing.values()), workers=workers,
+                                   cache_dir=cache.root, backend=backend)
+        report.failures.extend(asdict(f) for f in recorded.failures)
+        unrecorded = {failure.key for failure in recorded.failures}
+        misses = len(missing) - len(unrecorded)
 
-        # Phase 1 — record each workload once (default config; the
-        # trace cache key is config-free, so every phase-2 point hits).
-        record_jobs = [RunJob(spec.family, spec.app, dataset, eff_scale)
-                       for spec, dataset, eff_scale in specs]
-        record_report = run_jobs_report(record_jobs, workers=workers,
-                                        cache_dir=cache.root,
-                                        backend=backend)
-
-        # Phase 2 — one pricing job per (workload, design point).
-        point_jobs = []
-        job_meta = {}
-        for spec, dataset, eff_scale in specs:
-            for point in points:
-                job = RunJob(spec.family, spec.app, dataset, eff_scale,
-                             config=point.config)
-                point_jobs.append(job)
-                job_meta[job_key(job)] = (spec, dataset, eff_scale, point)
-        point_report = run_jobs_report(point_jobs, workers=workers,
-                                       cache_dir=cache.root,
-                                       backend=backend)
-
-        entries_after = cache.stats()["entries"]
+        # Phase 2 — for each trace, price its points in this process.
+        for spec, dspec, job in specs:
+            key = job_key(job)
+            sweep = WorkloadSweep(workload=spec.name, dataset=dspec.key,
+                                  scale=job.scale)
+            report.workloads.append(sweep)
+            if key in unrecorded:
+                continue
+            try:
+                run = run_workload(spec, dspec.key, job.scale, cache=cache,
+                                   price=False, backend=backend)
+            except Exception as exc:
+                report.failures.append(_failure(key, exc))
+                continue
+            misses += not run.cached
+            for point, fp, area in facts:
+                t0 = time.perf_counter()
+                try:
+                    metrics = price_run(spec, dspec.key, run.trace,
+                                        lengths=run.lengths, meta=run.meta,
+                                        configs=point.config)
+                except Exception as exc:
+                    report.failures.append(
+                        _failure(f"{key} [{point.label}]", exc))
+                    continue
+                wall = time.perf_counter() - t0
+                sweep.rows.append({
+                    "point": point.index,
+                    "values": [list(v) for v in point.values],
+                    "config_fingerprint": fp,
+                    "area_mm2": area,
+                    "sc_cycles": metrics["sc_cycles"],
+                    "cpu_cycles": metrics["cpu_cycles"],
+                    "speedup_vs_cpu": metrics["speedup_vs_cpu"],
+                    "wall_seconds": round(wall, 6),
+                })
+                led.span_of("explore.point", wall, workload=spec.name,
+                            dataset=dspec.key, point=point.index,
+                            axis=point.label, cfg=fp)
     finally:
         if tmp is not None:
             tmp.cleanup()
 
-    lookups = len(record_jobs) + len(point_jobs)
-    misses = max(0, entries_after - entries_before)
-    cache_stats = {
+    for sweep in report.workloads:
+        flags = pareto_flags(sweep.rows, "area_mm2", "sc_cycles")
+        for row, flag in zip(sweep.rows, flags):
+            row["pareto"] = flag
+        sweep.pareto = sorted(
+            (r for r in sweep.rows if r["pareto"]),
+            key=lambda r: (r["area_mm2"], r["sc_cycles"]))
+        sweep.sensitivity = _sensitivity(sweep.rows, axis_fields)
+
+    lookups = len(specs) * (len(points) + 1)
+    report.cache = {
         "lookups": lookups,
         "hits": lookups - misses,
         "misses": misses,
@@ -228,62 +288,12 @@ def run_sweep(workloads, axes, *, preset: str = "paper",
         else None,
         "root": str(cache.root) if tmp is None else "(temporary)",
     }
-
-    report = SweepReport(
-        preset=preset,
-        axes=[{"field": a.field, "values": list(a.values)} for a in axes],
-        n_points=len(points),
-        cache=cache_stats,
-    )
-
-    for engine_report in (record_report, point_report):
-        for failure in engine_report.failures:
-            report.failures.append({
-                "key": failure.key, "error": failure.error,
-                "message": failure.message, "attempts": failure.attempts})
-
-    for spec, dataset, eff_scale in specs:
-        sweep = WorkloadSweep(workload=spec.name, dataset=dataset,
-                              scale=eff_scale)
-        for point in points:
-            key = next(k for k, m in job_meta.items()
-                       if m[0] is spec and m[3] is point)
-            job_result = point_report.jobs.get(key)
-            if job_result is None or not job_result.ok:
-                continue
-            metrics = job_result.metrics
-            row = {
-                "point": point.index,
-                "values": [list(v) for v in point.values],
-                "config_fingerprint": point.fingerprint(),
-                "area_mm2": sparsecore_area_mm2(point.config.sparsecore),
-                "sc_cycles": metrics["sc_cycles"],
-                "cpu_cycles": metrics["cpu_cycles"],
-                "speedup_vs_cpu": metrics["speedup_vs_cpu"],
-                "wall_seconds": round(job_result.wall_seconds, 6),
-            }
-            sweep.rows.append(row)
-            led.span_of("explore.point", job_result.wall_seconds,
-                        workload=spec.name, dataset=dataset,
-                        point=point.index, axis=point.label,
-                        cfg=point.fingerprint())
-        flags = pareto_flags(sweep.rows, "area_mm2", "sc_cycles")
-        for row, flag in zip(sweep.rows, flags):
-            row["pareto"] = flag
-        sweep.pareto = sorted(
-            (r for r in sweep.rows if r["pareto"]),
-            key=lambda r: (r["area_mm2"], r["sc_cycles"]))
-        sweep.sensitivity = _sensitivity(sweep.rows,
-                                         [a.field for a in axes])
-        report.workloads.append(sweep)
-
     report.wall_seconds = time.perf_counter() - start
     led.span("explore.sweep", sweep_t0, preset=preset,
-             axes=",".join(a.field for a in axes),
+             axes=",".join(axis_fields),
              workloads=len(specs), points=len(points),
              priced=sum(len(w.rows) for w in report.workloads),
-             lookups=cache_stats["lookups"], hits=cache_stats["hits"],
-             misses=cache_stats["misses"],
+             lookups=lookups, hits=lookups - misses, misses=misses,
              failures=len(report.failures))
     return report
 

@@ -129,7 +129,7 @@ def attribute(trace: Trace | FrozenTrace, model: SparseCoreModel | None = None,
             t.su_cycles.astype(np.float64),
             t.flop_pairs * c.flop_cycles_per_pair,
         )
-        starts, times = model.segment_times(su, t.eff_elems, t.burst)
+        starts, times = model.segment_times(t)
         seg_of_op = np.zeros(t.num_ops, dtype=np.int64)
         seg_of_op[starts[1:]] = 1
         seg_of_op = np.cumsum(seg_of_op)

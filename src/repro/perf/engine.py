@@ -94,18 +94,13 @@ class RunJob:
     ``kind`` selects the runner: ``"gpm"`` (``app`` = app code,
     ``dataset`` = graph), ``"spmspm"`` (``app`` = dataflow, ``dataset``
     = matrix), or ``"tensor"`` (``app`` = ``ttv``/``ttm``, ``dataset``
-    = CSF tensor).  ``config`` (a
-    :class:`~repro.arch.config.MachineConfigs`; ``None`` = the
-    ``paper`` preset) rides in the worker payload and selects the
-    machine pair the job prices under — design-space sweeps submit one
-    job per point, all re-pricing the same cached trace.
+    = CSF tensor).
     """
 
     kind: str
     app: str
     dataset: str
     scale: float = 1.0
-    config: object = None  # MachineConfigs | None
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -114,19 +109,10 @@ class RunJob:
 
 
 def job_key(job: RunJob) -> str:
-    """Stable human-readable identity of one job.
-
-    Includes the config fingerprint for non-default configs, so two
-    design points of the same (workload, dataset) never collide in the
-    results dict; default-config keys are unchanged.
-    """
+    """Stable human-readable identity of one job."""
     if job.kind == "gpm":
-        key = f"gpm:{job.app}:{job.dataset}:{job.scale}"
-    else:
-        key = f"{job.kind}:{job.app}:{job.dataset}"
-    if job.config is not None:
-        key += f"@cfg={job.config.fingerprint()}"
-    return key
+        return f"gpm:{job.app}:{job.dataset}:{job.scale}"
+    return f"{job.kind}:{job.app}:{job.dataset}"
 
 
 def figure_suite_jobs(scale: float = 1.0, *, smoke: bool = False) -> list[RunJob]:
@@ -235,7 +221,7 @@ def _execute_job(payload) -> tuple[str, dict, dict | None, dict, float]:
         spec = workload_for_app(job.kind, job.app)
         metrics = run_workload(spec, job.dataset, job.scale,
                                cache=cache, probe=probe,
-                               backend=backend, config=job.config).metrics
+                               backend=backend).metrics
     finally:
         faults.set_attempt(0)
     wall = time.perf_counter() - start

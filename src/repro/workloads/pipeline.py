@@ -164,8 +164,7 @@ def run_workload(workload: str | WorkloadSpec, dataset: str | None = None,
     recording is config-independent, so one cached trace re-prices
     under any number of design points — which is what makes
     :mod:`repro.explore` sweeps cheap.  The config fingerprint is part
-    of every *priced-result* identity instead (memo keys, engine job
-    keys).
+    of every *priced-result* identity instead (memo keys, sweep rows).
     """
     from repro.obs.spans import clock
     from repro.record import normalize_backend

@@ -83,7 +83,8 @@ def core_reports(trace, configs: MachineConfigs):
     """
     cpu = CpuModel(configs.cpu).cost(trace)
     sc = SparseCoreModel(configs.sparsecore).cost(trace)
-    one_su = SparseCoreModel(configs.sparsecore.with_sus(1)).cost(trace)
+    one_su = SparseCoreModel(config_variant(configs.sparsecore, "num_sus",
+                                            1)).cost(trace)
     return cpu, sc, one_su
 
 

@@ -107,6 +107,10 @@ def test_machine_fingerprint_covers_both_halves():
     {"su_buffer_width": 12},       # must be a power of two
     {"scratchpad_bytes": -1},
     {"synthesized_frequency_ghz": 0.0},
+    {"num_sus": 1.5},              # int fields hold ints
+    {"implicit_overlap": 1.5},
+    {"scache_bandwidth": 32.0},
+    {"num_sus": True},             # a bool is not a count
 ])
 def test_sparsecore_validation(kwargs):
     with pytest.raises(ConfigError):
@@ -118,6 +122,8 @@ def test_sparsecore_validation(kwargs):
     {"cycles_per_step": 0.0},
     {"mispredict_rate": -0.1},
     {"mispredict_rate": 1.5},
+    {"rob_size": 127.5},
+    {"mispredict_penalty": 14.0},
 ])
 def test_cpu_validation(kwargs):
     with pytest.raises(ConfigError):
@@ -128,6 +134,8 @@ def test_cpu_validation(kwargs):
     {"l1d_bytes": 0},
     {"line_bytes": 48},            # must be a power of two
     {"l2_latency": -1},
+    {"l2_latency": 14.5},
+    {"line_bytes": True},
 ])
 def test_cache_validation(kwargs):
     with pytest.raises(ConfigError):
@@ -147,6 +155,18 @@ def test_config_variant_routes_through_helpers():
         == base.with_bandwidth(64)
     assert config_variant(base, "scratchpad_bytes", 1 << 16) \
         == dataclasses.replace(base, scratchpad_bytes=1 << 16)
+
+
+def test_config_variant_memo_keeps_field_types():
+    # Equal configs whose float field differs in type (1 vs 1.0)
+    # fingerprint apart; a memoised variant must keep that apart too.
+    as_int = dataclasses.replace(SparseCoreConfig(), scalar_cpi=1)
+    as_float = dataclasses.replace(SparseCoreConfig(), scalar_cpi=1.0)
+    for base in (as_int, as_float, as_int):
+        assert config_variant(base, "num_sus", 2).fingerprint() \
+            == dataclasses.replace(base, num_sus=2).fingerprint()
+    assert config_variant(as_int, "num_sus", 2) \
+        is config_variant(as_int, "num_sus", 2)
 
 
 def test_config_variant_rejects_unknown_and_derived_fields():

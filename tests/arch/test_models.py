@@ -1,11 +1,20 @@
 """Tests for the trace container and the CPU/SparseCore cost models."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.arch import CpuModel, SparseCoreModel, Trace
-from repro.arch.config import SparseCoreConfig
-from repro.arch.trace import NO_BURST, OpKind, su_cycles_for
+from repro.arch.config import SparseCoreConfig, config_variant, sweepable_fields
+from repro.arch.sparsecore import SEGMENT_MEMO_ENTRIES
+from repro.arch.trace import (
+    _ARRAY_FIELDS,
+    NO_BURST,
+    FrozenTrace,
+    OpKind,
+    su_cycles_for,
+)
 from repro.streams.runstats import analyze_pair
 
 
@@ -176,3 +185,75 @@ class TestSparseCoreModel:
         assert cfg.with_bandwidth(64).scache_bandwidth == 64
         # original untouched (frozen dataclass)
         assert cfg.num_sus == 4
+
+
+def mixed_trace() -> Trace:
+    """Singleton runs between nested bursts, every op kind, value FLOPs
+    that outweigh some ops' SU walk, and memory stalls."""
+    t = Trace("mixed")
+    kinds = list(OpKind)
+    for block in range(4):
+        for i in range(5):
+            kind = kinds[(block + i) % len(kinds)]
+            t.add_op(kind, sample_stats(n=16 + 8 * i, seed=10 * block + i),
+                     sc_mem=float(i), cpu_mem=3.0 * i,
+                     flop_pairs=40 * i if kind >= OpKind.VINTER else 0)
+        burst = t.new_burst()
+        for i in range(4):
+            t.add_op(OpKind.INTERSECT, sample_stats(n=64, seed=50 + i),
+                     burst=burst, nested=True, sc_mem=1.5)
+    t.add_scalar(300)
+    t.add_sc_scalar(40)
+    return t
+
+
+def burst_only_trace() -> Trace:
+    t = Trace("bursts")
+    for b in range(3):
+        burst = t.new_burst()
+        for i in range(6):
+            t.add_op(OpKind.VINTER, sample_stats(n=32, seed=b * 6 + i),
+                     burst=burst, nested=True, flop_pairs=25 * i)
+    return t
+
+
+#: Configs priced on a trace before the one under test: enough distinct
+#: segment keys to evict, then the keys the tested configs hit, each
+#: reached first by a config that differs in other fields.
+WARM_CONFIGS = [
+    *(SparseCoreConfig(implicit_overlap=n, flop_cycles_per_pair=f)
+      for n in range(1, SEGMENT_MEMO_ENTRIES + 3) for f in (0.5, 3.0)),
+    SparseCoreConfig(num_sus=1, scalar_cpi=0.1),
+    SparseCoreConfig(implicit_overlap=4, scache_bandwidth=2),
+    SparseCoreConfig(flop_cycles_per_pair=2.0, op_issue_cycles=7.0),
+]
+
+
+class TestSegmentMemo:
+    @pytest.mark.parametrize("build", [mixed_trace, Trace, burst_only_trace],
+                             ids=["mixed", "empty", "burst-only"])
+    @pytest.mark.parametrize("field", sweepable_fields())
+    def test_reused_trace_prices_like_a_fresh_one(self, field, build):
+        base = SparseCoreConfig()
+        config = config_variant(base, field, getattr(base, field) * 2)
+        shared = build().freeze()
+        for warm in WARM_CONFIGS:
+            SparseCoreModel(warm).cost(shared)
+        assert len(shared._segments) <= SEGMENT_MEMO_ENTRIES
+        fresh = FrozenTrace(**{f.name: getattr(shared, f.name)
+                               for f in dataclasses.fields(FrozenTrace)
+                               if f.init})
+        got = SparseCoreModel(config).cost(shared)
+        want = SparseCoreModel(config).cost(fresh)
+        assert dataclasses.asdict(got) == dataclasses.asdict(want)
+
+    def test_memo_is_never_saved_or_shown(self, tmp_path):
+        t = mixed_trace().freeze()
+        SparseCoreModel().cost(t)
+        assert t._segments
+        t.save(tmp_path / "t.npz")
+        with np.load(tmp_path / "t.npz") as data:
+            assert sorted(data.files) == sorted((*_ARRAY_FIELDS, "name",
+                                                 "scalars"))
+        assert "_segments" not in repr(t)
+        assert not FrozenTrace.load(tmp_path / "t.npz")._segments

@@ -31,6 +31,11 @@ def test_parse_geometric_range():
 
 def test_parse_arithmetic_range():
     assert parse_axis("num_sus=2..8:2").values == (2, 4, 6, 8)
+    # No running-sum drift: hi on the step grid is kept and every value
+    # is the literal the user would type.
+    assert parse_axis("scalar_cpi=0.1..0.3:0.1").values == (0.1, 0.2, 0.3)
+    assert parse_axis("op_issue_cycles=0.5..1.5:0.1").values == (
+        0.5, 0.6, 0.7, 0.8, 0.9, 1.0, 1.1, 1.2, 1.3, 1.4, 1.5)
 
 
 def test_parse_mixed_list_and_range():
@@ -48,6 +53,8 @@ def test_parse_mixed_list_and_range():
     "num_sus=2..8:0",           # non-positive step
     "cache=1,2",                # nested config is not sweepable
     "area_mm2=1,2",             # published characteristic, not a knob
+    "scalar_cpi=nan",           # non-finite value
+    "scalar_cpi=0.1..inf:0.1",  # non-finite bound
 ])
 def test_parse_rejects(text):
     with pytest.raises(ConfigError):
@@ -82,9 +89,10 @@ def test_grid_point_configs_are_distinct_and_fingerprinted():
     assert len(fps) == 3
 
 
-def test_grid_validation_fires_at_construction():
+@pytest.mark.parametrize("axis", ["num_sus=0,1", "num_sus=1.5"])
+def test_grid_validation_fires_at_construction(axis):
     with pytest.raises(ConfigError):
-        grid_points(parse_axes(["num_sus=0,1"]), default_configs())
+        grid_points(parse_axes([axis]), default_configs())
 
 
 def test_grid_keeps_base_cpu():
@@ -196,6 +204,51 @@ def test_sweep_two_axis_grid(tmp_path):
     assert report.cache["hit_rate"] >= 3 / 4
     fps = {r["config_fingerprint"] for r in report.workloads[0].rows}
     assert len(fps) == 4
+
+
+def test_warm_sweep_reads_each_trace_once(tmp_path, monkeypatch):
+    import repro.perf.engine as engine
+    from repro.perf.cache import RunCache
+
+    args = (["triangle", "spmspm"], ["num_sus=1,2,4,8,16"])
+    run_sweep(*args, scale=0.3, cache_dir=tmp_path)
+
+    reads: dict[str, int] = {}
+    jobs = []
+    get, run_jobs = RunCache.get, engine.run_jobs_report
+
+    def counting_get(self, key, **kwargs):
+        reads[key] = reads.get(key, 0) + 1
+        return get(self, key, **kwargs)
+
+    def counting_run_jobs(job_list, **kwargs):
+        jobs.extend(job_list)
+        return run_jobs(job_list, **kwargs)
+
+    monkeypatch.setattr(RunCache, "get", counting_get)
+    monkeypatch.setattr(engine, "run_jobs_report", counting_run_jobs)
+    warm = run_sweep(*args, scale=0.3, cache_dir=tmp_path)
+    assert warm.ok and warm.cache["misses"] == 0
+    assert sorted(reads.values()) == [1, 1]
+    assert jobs == []
+    assert sum(len(w.rows) for w in warm.workloads) == 10
+
+
+def test_sweep_rows_match_the_pipeline_per_point(tmp_path):
+    from repro.workloads import get_workload, run_workload
+
+    axes = ["implicit_overlap=1,4", "num_sus=2,8",
+            "flop_cycles_per_pair=0.5,2.0"]
+    report = run_sweep(["triangle"], axes, scale=0.3, cache_dir=tmp_path)
+    points = grid_points(parse_axes(axes), default_configs())
+    rows = report.workloads[0].rows
+    assert len(rows) == len(points) == 8
+    for row, point in zip(rows, points):
+        metrics = run_workload(get_workload("triangle"), None, 0.3,
+                               cache=None, config=point.config).metrics
+        assert row["config_fingerprint"] == point.fingerprint()
+        for column in ("sc_cycles", "cpu_cycles", "speedup_vs_cpu"):
+            assert row[column] == metrics[column], (point.label, column)
 
 
 def test_sweep_rejects_empty_axes(tmp_path):
