@@ -6,14 +6,7 @@ bit-identical metrics, and records stream-ops/sec and runs/sec for each
 mode in ``BENCH_wallclock.json`` at the repository root so harness
 performance can be diffed across commits.
 
-Two recording-backend checks ride along: a fourth cold phase recorded
-under the *other* backend (rows vs columnar) must match the first three
-bit-exactly, and a recording-bound microbenchmark times the two
-backends head-to-head on an identical synthetic op sequence (freezing
-to byte-identical traces), asserting the columnar backend's speedup in
-full mode.
-
-A fifth cold-serial phase runs with the run ledger enabled
+A fourth cold-serial phase runs with the run ledger enabled
 (``$REPRO_LEDGER_DIR``): its metrics must stay bit-identical to the
 un-instrumented phases, and the ledger's attributable overhead — the
 directly measured per-event emission cost times the number of events
@@ -21,17 +14,16 @@ the phase produced — must stay under 2% of the cold-serial wall time.
 (Whole-phase wall deltas are reported but do not gate: back-to-back
 ledger-off phases on a shared machine routinely differ by 20%, so a
 single-sample 2% wall gate would only measure scheduler noise.)  The
-first four phases always run with the ledger disabled, whatever the
+first three phases always run with the ledger disabled, whatever the
 ambient environment.
 
 Modelled *cycles* never change between modes (that is asserted); what
 this benchmark tracks is how fast the pure-Python harness itself
 produces them.
 
-Run directly (CI uses ``--smoke``, once per backend)::
+Run directly (CI uses ``--smoke``)::
 
     python benchmarks/bench_wallclock.py [--smoke] [--jobs N] [--scale S]
-                                         [--backend {rows,columnar}]
 
 or via ``pytest benchmarks/bench_wallclock.py`` for the smoke variant.
 """
@@ -54,9 +46,6 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 #: Ratios the full benchmark asserts (ISSUE 4 acceptance criteria).
 WARM_MIN_SPEEDUP = 3.0
 PARALLEL_MIN_SPEEDUP = 1.5
-#: Columnar-over-rows recording speedup the full benchmark asserts on
-#: the recording-bound microbench (ISSUE 7 acceptance criteria).
-RECORDING_MIN_SPEEDUP = 5.0
 #: Ledger emission cost attributable to a cold serial run (per-event
 #: emit time x events emitted) must stay under this fraction of the
 #: run's wall time (ISSUE 8 acceptance criteria).
@@ -78,92 +67,20 @@ def _canon(x):
     return x
 
 
-def _timed_run(jobs, *, workers: int, cache_dir,
-               backend: str | None = None) -> tuple[float, dict]:
+def _timed_run(jobs, *, workers: int, cache_dir) -> tuple[float, dict]:
     from repro.perf.engine import run_jobs
 
     start = time.perf_counter()
-    results = run_jobs(jobs, workers=workers, cache_dir=cache_dir,
-                       backend=backend)
+    results = run_jobs(jobs, workers=workers, cache_dir=cache_dir)
     return time.perf_counter() - start, results
 
 
-def recording_microbench(*, n_ops: int, repeats: int = 1,
-                         seed: int = 0) -> dict:
-    """Time the two recording backends on one identical op sequence.
-
-    A recording-bound workload distilled to its essence: no kernels, no
-    memory model — each backend records the same pre-generated stream
-    ops (sorted key arrays, mixed kinds and bounds, sizes around real
-    neighbor-list lengths) and freezes.  The frozen traces must
-    serialize byte-identically; the report carries both wall-clocks and
-    their ratio (min over ``repeats`` to damp timer noise).
-    """
-    import io
-
-    from repro.arch.trace import OpKind, Trace
-    from repro.record.columnar import ColumnarTrace
-    from repro.streams.runstats import UNBOUNDED, analyze_pair
-
-    rng = np.random.default_rng(seed)
-    kinds = (OpKind.INTERSECT, OpKind.SUBTRACT, OpKind.MERGE)
-    plan = []
-    for i in range(n_ops):
-        na, nb = rng.integers(52, 88, size=2)
-        a = np.unique(rng.integers(0, 3600, na).astype(np.int64))
-        b = np.unique(rng.integers(0, 3600, nb).astype(np.int64))
-        bound = int(rng.integers(1, 3600)) if rng.random() < 0.12 \
-            else UNBOUNDED
-        plan.append((kinds[i % 3], a, b, bound))
-
-    def record_rows():
-        trace = Trace("bench-recording")
-        for kind, a, b, bound in plan:
-            trace.add_op(kind, analyze_pair(a, b, bound))
-        return trace.freeze()
-
-    def record_columnar():
-        trace = ColumnarTrace("bench-recording")
-        for kind, a, b, bound in plan:
-            trace.add_op_keys(kind, a, b, bound)
-        return trace.freeze()
-
-    def best(record):
-        times, frozen = [], None
-        for _ in range(max(1, repeats)):
-            start = time.perf_counter()
-            frozen = record()
-            times.append(time.perf_counter() - start)
-        return min(times), frozen
-
-    rows_s, rows_trace = best(record_rows)
-    col_s, col_trace = best(record_columnar)
-    rows_buf, col_buf = io.BytesIO(), io.BytesIO()
-    rows_trace.save(rows_buf)
-    col_trace.save(col_buf)
-    return {
-        "n_ops": n_ops,
-        "rows_s": round(rows_s, 3),
-        "columnar_s": round(col_s, 3),
-        "ops_per_s_rows": round(n_ops / rows_s, 1),
-        "ops_per_s_columnar": round(n_ops / col_s, 1),
-        "columnar_speedup": round(rows_s / col_s, 2),
-        "bit_identical": rows_buf.getvalue() == col_buf.getvalue(),
-    }
-
-
-def run_phases(*, smoke: bool, workers: int, scale: float,
-               backend: str = "rows") -> dict:
-    """Cold-serial / cold-parallel / warm-serial over one job list.
-
-    All three phases record under ``backend``; a fourth cold-serial
-    phase records under the *other* backend and must produce
-    bit-identical metrics (the cross-backend differential check).
-    """
+def run_phases(*, smoke: bool, workers: int, scale: float) -> dict:
+    """Cold-serial / cold-parallel / warm-serial over one job list,
+    then cold-serial again with the run ledger on."""
     from repro.obs.ledger import ENV_DIR, read_ledger, reset_default_ledger
     from repro.perf.engine import figure_suite_jobs, job_key
 
-    other = "columnar" if backend == "rows" else "rows"
     jobs = figure_suite_jobs(scale, smoke=smoke)
     # The baseline phases must measure the *disabled* ledger whatever
     # the ambient environment says; the ledger phase then reuses the
@@ -176,23 +93,19 @@ def run_phases(*, smoke: bool, workers: int, scale: float,
                 prefix="repro-bench-cache-") as tmp:
             root = pathlib.Path(tmp)
             cold_serial_s, serial = _timed_run(
-                jobs, workers=1, cache_dir=root / "serial", backend=backend)
+                jobs, workers=1, cache_dir=root / "serial")
             cold_parallel_s, parallel = _timed_run(
-                jobs, workers=workers, cache_dir=root / "parallel",
-                backend=backend)
+                jobs, workers=workers, cache_dir=root / "parallel")
             # Warm: the serial cache dir already holds every trace.
             warm_serial_s, warm = _timed_run(
-                jobs, workers=1, cache_dir=root / "serial", backend=backend)
-            cold_other_s, other_results = _timed_run(
-                jobs, workers=1, cache_dir=root / "other", backend=other)
+                jobs, workers=1, cache_dir=root / "serial")
 
             ledger_dir = ambient or str(root / "ledger")
             os.environ[ENV_DIR] = ledger_dir
             reset_default_ledger()
             try:
                 cold_ledger_s, ledgered = _timed_run(
-                    jobs, workers=1, cache_dir=root / "ledger-cache",
-                    backend=backend)
+                    jobs, workers=1, cache_dir=root / "ledger-cache")
             finally:
                 os.environ.pop(ENV_DIR, None)
                 reset_default_ledger()
@@ -216,21 +129,17 @@ def run_phases(*, smoke: bool, workers: int, scale: float,
             os.environ[ENV_DIR] = ambient
         reset_default_ledger()
 
-    if not (_canon(serial) == _canon(parallel) == _canon(warm)):
+    reference = _canon(serial)
+    phases_identical = reference == _canon(parallel) == _canon(warm)
+    if not phases_identical:
         raise AssertionError(
             "metrics differ between serial / parallel / warm runs")
-    if _canon(serial) != _canon(other_results):
-        raise AssertionError(
-            f"metrics differ between the {backend} and {other} "
-            f"recording backends")
-
-    micro = recording_microbench(n_ops=2_000 if smoke else 20_000,
-                                 repeats=1 if smoke else 3)
+    ledger_identical = reference == _canon(ledgered)
 
     stream_ops = sum(m["num_ops"] for m in serial.values())
     n_runs = len(serial)
     report = {
-        "schema_version": 3,
+        "schema_version": 4,
         "mode": "smoke" if smoke else "full",
         "machine": {
             "cpu_count": os.cpu_count() or 1,
@@ -242,14 +151,12 @@ def run_phases(*, smoke: bool, workers: int, scale: float,
             "scale": scale,
             "runs": n_runs,
             "stream_ops": stream_ops,
-            "backend": backend,
             "jobs": sorted(job_key(j) for j in jobs),
         },
         "timings_s": {
             "cold_serial": round(cold_serial_s, 3),
             "cold_parallel": round(cold_parallel_s, 3),
             "warm_serial": round(warm_serial_s, 3),
-            f"cold_serial_{other}": round(cold_other_s, 3),
         },
         "throughput": {
             "stream_ops_per_s_cold": round(stream_ops / cold_serial_s, 1),
@@ -262,7 +169,6 @@ def run_phases(*, smoke: bool, workers: int, scale: float,
             "parallel_over_cold_serial":
                 round(cold_serial_s / cold_parallel_s, 2),
         },
-        "recording": micro,
         "ledger": {
             "cold_serial_ledger_s": round(cold_ledger_s, 3),
             "wall_ratio_vs_cold_serial":
@@ -277,10 +183,10 @@ def run_phases(*, smoke: bool, workers: int, scale: float,
             "attributable_overhead_ratio":
                 round(per_event_s * len(scan.events) / cold_serial_s, 6)
                 if cold_serial_s else None,
-            "bit_identical": _canon(serial) == _canon(ledgered),
+            "bit_identical": ledger_identical,
             "dir_persisted": ambient is not None,
         },
-        "bit_identical": micro["bit_identical"],
+        "bit_identical": phases_identical and ledger_identical,
     }
     return report
 
@@ -306,17 +212,6 @@ def check_ratios(report: dict) -> list[str]:
             f"faster than cold serial on "
             f"{report['machine']['cpu_count']} CPUs "
             f"(need >= {PARALLEL_MIN_SPEEDUP}x)")
-    micro = report["recording"]
-    if not micro["bit_identical"]:
-        failures.append(
-            "recording microbench traces are not byte-identical "
-            "between backends")
-    if report["mode"] == "full" \
-            and micro["columnar_speedup"] < RECORDING_MIN_SPEEDUP:
-        failures.append(
-            f"columnar recording only {micro['columnar_speedup']}x faster "
-            f"than row-tuple recording "
-            f"(need >= {RECORDING_MIN_SPEEDUP}x)")
     ledger = report.get("ledger")
     if ledger:
         if not ledger["bit_identical"]:
@@ -347,10 +242,6 @@ def main(argv=None) -> int:
                         help="workers for the parallel phase")
     parser.add_argument("--scale", type=float, default=0.2,
                         help="figure-suite scale factor")
-    parser.add_argument("--backend", default="rows",
-                        choices=["rows", "columnar"],
-                        help="recording backend for the main phases "
-                             "(the other backend runs the cross-check)")
     parser.add_argument("--out", default=None,
                         help="write the JSON report here instead of "
                              "BENCH_wallclock.json (smoke mode only "
@@ -358,7 +249,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     report = run_phases(smoke=args.smoke, workers=args.jobs,
-                        scale=args.scale, backend=args.backend)
+                        scale=args.scale)
     print(json.dumps(report, indent=2))
 
     failures = check_ratios(report)
@@ -391,9 +282,6 @@ def test_wallclock_smoke(once):
     assert report["bit_identical"]
     assert report["config"]["runs"] >= 4
     assert report["timings_s"]["warm_serial"] > 0
-    assert report["timings_s"]["cold_serial_columnar"] > 0
-    assert report["recording"]["bit_identical"]
-    assert report["recording"]["columnar_speedup"] > 0
     ledger = report["ledger"]
     assert ledger["bit_identical"], \
         "metrics must not change with the run ledger enabled"

@@ -52,7 +52,7 @@ class FlexMinerModel:
         self.config = config or SparseCoreConfig()
 
     def cost(self, trace: Trace | FrozenTrace) -> CycleReport:
-        t = trace.freeze() if isinstance(trace, Trace) else trace
+        t = trace.freeze()
         # Probes: one cycle per key of the smaller operand; the smaller
         # side is at most half the merge path.
         probes = np.minimum(t.eff_elems - t.out_len, t.eff_elems) / 2.0

@@ -56,7 +56,7 @@ class GpuModel:
         self.symmetry_breaking = symmetry_breaking
 
     def cost(self, trace: Trace | FrozenTrace) -> CycleReport:
-        t = trace.freeze() if isinstance(trace, Trace) else trace
+        t = trace.freeze()
         steps = float(t.cpu_steps.sum())
         nbytes = float(t.eff_elems.sum()) * KEY_BYTES
         if self.symmetry_breaking:

@@ -34,17 +34,13 @@ ACCEL_LINE_COST = 2.0
 _LINE_KEYS = 16  # 64B line / 4B key
 
 
-def _as_frozen(trace: Trace | FrozenTrace) -> FrozenTrace:
-    return trace.freeze() if isinstance(trace, Trace) else trace
-
-
 class OuterSpaceModel:
     """Outer-product accelerator (HPCA 2018), one PE."""
 
     name = "outerspace"
 
     def cost(self, trace: Trace | FrozenTrace) -> CycleReport:
-        t = _as_frozen(trace)
+        t = trace.freeze()
         # The multiply phase produces one scaled partial product per
         # cycle; the merge phase consumes its input streams at one
         # element per cycle.  Partial product matrices round-trip
@@ -68,7 +64,7 @@ class ExTensorModel:
     name = "extensor"
 
     def cost(self, trace: Trace | FrozenTrace) -> CycleReport:
-        t = _as_frozen(trace)
+        t = trace.freeze()
         walk = float(t.su_cycles.sum()) * EXTENSOR_SKIP_FACTOR
         flops = float(t.flop_pairs.sum())
         compute = max(walk, flops)
@@ -89,7 +85,7 @@ class GammaModel:
     name = "gamma"
 
     def cost(self, trace: Trace | FrozenTrace) -> CycleReport:
-        t = _as_frozen(trace)
+        t = trace.freeze()
         # The PE has one-element-per-cycle throughput over its input
         # fibers (Section 6.9.2); the FiberCache always hits for keys,
         # but fiber *values* (8B each) still stream through it once and

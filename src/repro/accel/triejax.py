@@ -60,7 +60,7 @@ class TrieJaxModel:
         self.config = config or CacheConfig()
 
     def cost(self, trace: Trace | FrozenTrace) -> CycleReport:
-        t = trace.freeze() if isinstance(trace, Trace) else trace
+        t = trace.freeze()
         # Every merge step pays a binary-search-backed probe.
         steps = float(t.cpu_steps.sum())
         compute = steps * PROBE_CYCLES * self.log_n

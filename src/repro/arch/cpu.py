@@ -41,7 +41,7 @@ class CpuModel:
         self.config = config or CpuConfig()
 
     def cost(self, trace: Trace | FrozenTrace) -> CycleReport:
-        t = trace.freeze() if isinstance(trace, Trace) else trace
+        t = trace.freeze()
         c = self.config
 
         steps = float(t.cpu_steps.sum())

@@ -78,7 +78,7 @@ class MultiCoreModel:
 
     def cost(self, trace: Trace | FrozenTrace,
              counters=NULL_COUNTERS) -> MultiCoreReport:
-        t = trace.freeze() if isinstance(trace, Trace) else trace
+        t = trace.freeze()
         single = self.base_model.cost(t).total_cycles
         if self.num_cores == 1 or t.num_ops == 0:
             return MultiCoreReport(self.num_cores, single, single, 1.0, 1.0)

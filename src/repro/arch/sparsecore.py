@@ -149,7 +149,7 @@ class SparseCoreModel:
         back over the ops of each segment, so the decomposition it
         prints is the cost model's own arithmetic, not a re-derivation.
         """
-        t = trace.freeze() if isinstance(trace, Trace) else trace
+        t = trace.freeze()
         segments = trace_segments(t, self.config)
         return segments.starts, segments.times(self.config)
 
@@ -157,7 +157,7 @@ class SparseCoreModel:
 
     def cost(self, trace: Trace | FrozenTrace,
              counters=NULL_COUNTERS) -> CycleReport:
-        t = trace.freeze() if isinstance(trace, Trace) else trace
+        t = trace.freeze()
         c = self.config
         segments = trace_segments(t, c)
         intersection = float(segments.times(c).sum())

@@ -1,16 +1,19 @@
 """Compact operation traces shared by all machine models.
 
 An application kernel runs **once** against a recording context
-(:mod:`repro.machine`) and produces a :class:`Trace`: one record per
-stream operation plus aggregate scalar-work counters.  Every machine
-model (CPU, SparseCore at any SU count / bandwidth, and the accelerator
-baselines) then costs the same trace — the methodology the paper itself
-uses for its baselines (Section 6.1).
+(:mod:`repro.machine`) and produces a trace: one record per stream
+operation plus aggregate scalar-work counters, frozen into a
+:class:`FrozenTrace` of numpy columns.  Every machine model (CPU,
+SparseCore at any SU count / bandwidth, and the accelerator baselines)
+then costs the same trace — the methodology the paper itself uses for
+its baselines (Section 6.1).
 
-Records are stored as parallel scalar lists (frozen to numpy arrays)
-rather than object-per-op: a single GPM run can produce millions of
-operations, and the Figure 12/13 sweeps re-cost each trace dozens of
-times.
+The recording :class:`~repro.machine.context.Machine` records into a
+:class:`~repro.record.columnar.ColumnarTrace`, which analyses its ops
+in batches.  :class:`Trace` here takes one pre-analysed
+:class:`~repro.streams.runstats.OpStats` per op instead: the
+instruction-level executor records through it, and it is the per-op
+reference the batched recorder is tested against.
 """
 
 from __future__ import annotations
@@ -50,12 +53,8 @@ class Trace:
     Use :meth:`add_op` per stream operation and :meth:`add_scalar` /
     :meth:`add_cpu_scalar` / :meth:`add_sc_scalar` for surrounding
     scalar work, then :meth:`freeze` before handing to cost models.
-
-    Recording is the hottest path of the whole harness (one call per
-    stream operation, millions per run), so ops are stored as a single
-    list of per-op row tuples — one pre-bound ``append`` per op instead
-    of eleven column appends — and decomposed into columnar numpy
-    arrays once, at :meth:`freeze` time.
+    Ops are stored as per-op row tuples and decomposed into columnar
+    numpy arrays once, at :meth:`freeze` time.
     """
 
     __slots__ = ("name", "_rows", "_append_row",
@@ -201,6 +200,10 @@ class FrozenTrace:
     @property
     def num_ops(self) -> int:
         return int(self.kind.size)
+
+    def freeze(self) -> "FrozenTrace":
+        """Already frozen: cost models call ``freeze()`` on any trace."""
+        return self
 
     def save(self, path, **extra_arrays) -> None:
         """Persist to ``.npz`` for offline analysis or re-pricing.

@@ -69,10 +69,8 @@ Commands:
 
 Workloads and datasets resolve through :mod:`repro.workloads` on every
 subcommand; unknown names exit with status 2 and a one-line message.
-``run``/``spmspm``/``profile``/``cache prewarm`` accept ``--backend
-{rows,columnar}`` to pick the recording backend (byte-identical traces;
-columnar is faster on recording-bound workloads — see
-docs/performance.md).
+Every command that records does so through the one recorder,
+:class:`~repro.record.columnar.ColumnarTrace` (see docs/performance.md).
 """
 
 from __future__ import annotations
@@ -110,8 +108,7 @@ def _cmd_run(args) -> int:
 
     spec = workload_for_app("gpm", args.app)
     dataset = _dataset_for_args(spec, args)
-    rec = run_workload(spec, dataset, args.scale, cache=None, price=False,
-                       backend=args.backend)
+    rec = run_workload(spec, dataset, args.scale, cache=None, price=False)
     print(f"graph: {rec.summary['graph']}")
     cpu = CpuModel().cost(rec.trace)
     sc = SparseCoreModel().cost(rec.trace)
@@ -220,8 +217,7 @@ def _cmd_spmspm(args) -> int:
 
     spec = workload_for_app("spmspm", args.dataflow)
     dataset = _dataset_for_args(spec, args)
-    rec = run_workload(spec, dataset, cache=None, price=False,
-                       backend=args.backend)
+    rec = run_workload(spec, dataset, cache=None, price=False)
     print(f"matrix: {rec.summary['matrix']}")
     cpu = CpuModel().cost(rec.trace)
     sc = SparseCoreModel().cost(rec.trace)
@@ -281,7 +277,7 @@ def _cmd_profile(args) -> int:
 
     pargs = ProfileArgs(graph=args.graph, matrix=args.matrix,
                         tensor=args.tensor, scale=args.scale,
-                        max_events=args.max_events, backend=args.backend)
+                        max_events=args.max_events)
 
     if args.smoke:
         # CI pair: one GPM pattern + one SpMSpM kernel; the attribution
@@ -395,7 +391,6 @@ def _cmd_cache(args) -> int:
                 [{"key": e.get("key", "?"), "kind": e.get("kind", "?"),
                   "fmt": f"v{e['format_version']}"
                          if "format_version" in e else "?",
-                  "backend": e.get("backend", "?"),
                   "ops": e.get("num_ops", 0)} for e in entries],
                 "entries"))
         return 0
@@ -423,8 +418,7 @@ def _cmd_cache(args) -> int:
     jobs = figure_suite_jobs(args.scale, smoke=args.smoke)
     workers = args.jobs if args.jobs is not None else default_workers()
     start = time.perf_counter()
-    report = run_jobs_report(jobs, workers=workers, cache_dir=cache.root,
-                             backend=args.backend)
+    report = run_jobs_report(jobs, workers=workers, cache_dir=cache.root)
     wall = time.perf_counter() - start
     stats = cache.stats()
     print(f"prewarmed {len(report.results)} run(s) in {wall:.1f}s "
@@ -638,8 +632,7 @@ def _cmd_explore(args) -> int:
 
     report = run_sweep(workloads, axes, preset=args.preset,
                        datasets=datasets or None, scale=scale,
-                       workers=args.jobs or default_workers(),
-                       backend=args.backend)
+                       workers=args.jobs or default_workers())
 
     if args.json:
         print(json.dumps(report.to_json(), indent=2))
@@ -704,19 +697,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("datasets", help="list dataset registries")
 
-    def add_backend_flag(p):
-        p.add_argument("--backend", default=None,
-                       choices=["rows", "columnar"],
-                       help="recording backend (default: "
-                            "$REPRO_RECORD_BACKEND or rows); both "
-                            "produce byte-identical traces")
-
     run = sub.add_parser("run", help="run a GPM application")
     run.add_argument("app", choices=["T", "TS", "TC", "TT", "TM", "4C",
                                      "4CS", "5C", "5CS", "FSM"])
     run.add_argument("--graph", default="email_eu_core")
     run.add_argument("--scale", type=float, default=1.0)
-    add_backend_flag(run)
 
     pattern = sub.add_parser("pattern", help="compile and run a pattern")
     pattern.add_argument("pattern",
@@ -738,7 +723,6 @@ def build_parser() -> argparse.ArgumentParser:
     spmspm.add_argument("--matrix", default="laser")
     spmspm.add_argument("--dataflow", default="gustavson",
                         choices=["inner", "outer", "gustavson"])
-    add_backend_flag(spmspm)
 
     difftest = sub.add_parser(
         "difftest", help="cross-backend differential conformance sweep")
@@ -786,7 +770,6 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--smoke", action="store_true",
                          help="profile the CI pair (triangle + spmspm) "
                               "with attribution/schema checks enforced")
-    add_backend_flag(profile)
 
     cache = sub.add_parser(
         "cache", help="manage the persistent run cache")
@@ -806,7 +789,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="list individual entries under stats")
     cache.add_argument("--json", action="store_true",
                        help="emit stats/fsck output as JSON")
-    add_backend_flag(cache)
 
     chaos = sub.add_parser(
         "chaos", help="fault-injection gate over the figure suite")
@@ -880,7 +862,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="CI gate: 2-point sweep; the base point "
                               "must match the non-explore pipeline "
                               "bit-for-bit")
-    add_backend_flag(explore)
 
     bench = sub.add_parser(
         "bench", help="compare two benchmark reports for regressions")

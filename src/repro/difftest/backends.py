@@ -22,15 +22,10 @@ The stream family runs through five genuinely distinct paths:
     parallel-comparison engine (key sets from stepped emission, value
     reductions applied sequentially to its emitted matches);
 ``machine``
-    the recording :class:`~repro.machine.context.Machine` whose
-    counting ops derive lengths from merge-run *analytics*
-    (:func:`~repro.streams.runstats.analyze_pair`), not from the
+    the recording :class:`~repro.machine.context.Machine`, whose counts
+    are answered from the merge-run *analytics* of its frozen trace
+    (:func:`~repro.record.columnar.analyze_segments`), not from the
     functional kernels;
-``machine_columnar``
-    the same machine on the deferred columnar recording backend
-    (:class:`~repro.record.columnar.ColumnarTrace`), whose batched
-    :func:`~repro.record.columnar.analyze_segments` analytics must
-    agree with every other path;
 ``executor``
     the instruction-level :class:`~repro.arch.executor.StreamExecutor`
     driven purely through the ISA — ``S_VREAD`` from a
@@ -260,6 +255,13 @@ def run_machine(case: StreamCase, machine=None) -> list:
     """The recording machine context; counts come from merge-run
     analytics rather than the functional kernels.
 
+    After the run the trace is frozen, which analyses every recorded
+    op.  A count node (``*_count``, ``nestinter``) answers with the
+    summed ``out_len`` of the ops it recorded, and a key-producing
+    node's output length must equal its op's ``out_len``.  Where the
+    ``Machine``'s own count or output length disagrees with the
+    analytics this raises, which the oracle reports as a mismatch.
+
     ``machine`` lets callers supply their own (e.g. a probed machine
     whose trace/counters they want to inspect afterwards, as the obs
     parity and attribution tests do)."""
@@ -273,49 +275,56 @@ def run_machine(case: StreamCase, machine=None) -> list:
         slots.append(machine.load_values(inp.key_array(), inp.val_array(),
                                          ("dt-in", case.seed, i),
                                          priority=inp.priority))
-    results = []
+    #: per node: (first op, end op, output stream, returned scalar)
+    recorded = []
     for node in case.nodes:
         k = node.kind
+        first = machine.trace.num_ops
+        out = value = None
         if k == "nestinter":
-            total = machine.nest_intersect(slots[node.a], graph)
-            slots.append(None)
-            results.append(("count", int(total)))
-            continue
-        a, b = slots[node.a], slots[node.b]
-        if k == "intersect":
-            out = machine.intersect(a, b, node.bound)
-        elif k == "subtract":
-            out = machine.subtract(a, b, node.bound)
-        elif k == "merge":
-            out = machine.merge(a, b)
-        elif k == "intersect_count":
-            slots.append(None)
-            results.append(("count", machine.intersect_count(a, b,
-                                                             node.bound)))
-            continue
-        elif k == "subtract_count":
-            slots.append(None)
-            results.append(("count", machine.subtract_count(a, b,
-                                                            node.bound)))
-            continue
-        elif k == "merge_count":
-            slots.append(None)
-            results.append(("count", machine.merge_count(a, b)))
-            continue
-        elif k == "vinter":
-            slots.append(None)
-            results.append(("value",
-                            norm_float(machine.vinter(a, b, node.valop))))
-            continue
-        elif k == "vmerge":
-            out = machine.vmerge(node.scale_a, a, node.scale_b, b)
-            slots.append(out)
-            results.append(canonical_kv(out.keys, out.values))
-            continue
+            value = machine.nest_intersect(slots[node.a], graph)
         else:
-            raise ValueError(k)
+            a, b = slots[node.a], slots[node.b]
+            if k == "intersect":
+                out = machine.intersect(a, b, node.bound)
+            elif k == "subtract":
+                out = machine.subtract(a, b, node.bound)
+            elif k == "merge":
+                out = machine.merge(a, b)
+            elif k == "vmerge":
+                out = machine.vmerge(node.scale_a, a, node.scale_b, b)
+            elif k == "intersect_count":
+                value = machine.intersect_count(a, b, node.bound)
+            elif k == "subtract_count":
+                value = machine.subtract_count(a, b, node.bound)
+            elif k == "merge_count":
+                value = machine.merge_count(a, b)
+            elif k == "vinter":
+                value = machine.vinter(a, b, node.valop)
+            else:
+                raise ValueError(k)
         slots.append(out)
-        results.append(canonical_keys(out.keys))
+        recorded.append((first, machine.trace.num_ops, out, value))
+
+    out_len = machine.trace.freeze().out_len
+    results = []
+    for j, (node, (first, end, out, value)) in enumerate(
+            zip(case.nodes, recorded)):
+        if node.kind == "vinter":
+            results.append(("value", norm_float(value)))
+            continue
+        analytic = int(out_len[first:end].sum())
+        claimed = len(out) if out is not None else int(value)
+        if claimed != analytic:
+            raise AssertionError(
+                f"node {j} ({node.kind}): the Machine returned length "
+                f"{claimed}, its trace analytics {analytic}")
+        if out is None:
+            results.append(("count", analytic))
+        elif node.kind == "vmerge":
+            results.append(canonical_kv(out.keys, out.values))
+        else:
+            results.append(canonical_keys(out.keys))
     return results
 
 
@@ -410,28 +419,11 @@ def run_executor(case: StreamCase) -> list:
     return results
 
 
-def run_machine_columnar(case: StreamCase) -> list:
-    """The machine on the columnar recording backend.
-
-    Counting ops answer through the functional kernels while the
-    *recording* is deferred into :func:`analyze_segments` batches —
-    freezing afterwards proves the batched analytics agree with the
-    inline row path on real op sequences (the value checks here, the
-    trace-byte checks in tests/record/)."""
-    from repro.machine.context import Machine
-
-    machine = Machine(name=f"difftest-{case.seed}", backend="columnar")
-    results = run_machine(case, machine)
-    machine.trace.freeze()  # exercise the batch analyzer end-to-end
-    return results
-
-
 STREAM_BACKENDS = {
     "functional": run_functional,
     "pyref": run_pyref,
     "stream_unit": run_stream_unit,
     "machine": run_machine,
-    "machine_columnar": run_machine_columnar,
     "executor": run_executor,
 }
 
@@ -449,16 +441,16 @@ def gpm_bruteforce(case: GpmCase):
     return ("count", int(count))
 
 
-def _gpm_plan(case: GpmCase, use_nested: bool, backend: str = "rows"):
+def _gpm_plan(case: GpmCase, use_nested: bool):
     from repro.gpm.compiler import compile_pattern
     from repro.machine.context import Machine
 
     compiled = compile_pattern(case.pattern(),
                                vertex_induced=case.vertex_induced,
                                use_nested=use_nested)
-    machine = Machine(name=f"difftest-{case.seed}", backend=backend)
+    machine = Machine(name=f"difftest-{case.seed}")
     count = compiled.count(case.graph(), machine)
-    machine.trace.freeze()  # columnar: force the deferred batch analysis
+    machine.trace.freeze()  # run the deferred batch analysis end to end
     return ("count", int(count))
 
 
@@ -468,11 +460,6 @@ def gpm_plan(case: GpmCase):
 
 def gpm_plan_nested(case: GpmCase):
     return _gpm_plan(case, use_nested=True)
-
-
-def gpm_plan_columnar(case: GpmCase):
-    """The nested plan recorded through the columnar backend."""
-    return _gpm_plan(case, use_nested=True, backend="columnar")
 
 
 def gpm_networkx(case: GpmCase):
@@ -499,7 +486,6 @@ GPM_BACKENDS = {
     "bruteforce": gpm_bruteforce,
     "plan": gpm_plan,
     "plan_nested": gpm_plan_nested,
-    "plan_columnar": gpm_plan_columnar,
     "networkx": gpm_networkx,
 }
 

@@ -152,8 +152,7 @@ def _failure(key: str, exc: Exception) -> dict:
 
 def run_sweep(workloads, axes, *, preset: str = "paper",
               datasets: dict | None = None, scale: float = 1.0,
-              workers: int = 1, cache_dir=None,
-              backend: str | None = None) -> SweepReport:
+              workers: int = 1, cache_dir=None) -> SweepReport:
     """Price ``workloads`` at every grid point of ``axes``.
 
     ``axes`` is a sequence of :class:`~repro.explore.axes.Axis` or
@@ -172,7 +171,6 @@ def run_sweep(workloads, axes, *, preset: str = "paper",
     from repro.obs.spans import clock
     from repro.perf.cache import RunCache, default_run_cache
     from repro.perf.engine import RunJob, job_key, run_jobs_report
-    from repro.record import normalize_backend
     from repro.workloads import price_run, run_fingerprint, run_workload
 
     axes = parse_axes([a for a in axes if isinstance(a, str)]) \
@@ -186,7 +184,6 @@ def run_sweep(workloads, axes, *, preset: str = "paper",
               sparsecore_area_mm2(point.config.sparsecore))
              for point in points]
     axis_fields = [a.field for a in axes]
-    backend = normalize_backend(backend)
 
     specs = []
     for name in workloads:
@@ -219,10 +216,9 @@ def run_sweep(workloads, axes, *, preset: str = "paper",
         # lacks (the trace cache key is config-free, so one recording
         # serves every point).
         missing = {job_key(job): job for spec, dspec, job in specs
-                   if run_fingerprint(spec, dspec, job.scale, backend)
-                   not in cache}
+                   if run_fingerprint(spec, dspec, job.scale) not in cache}
         recorded = run_jobs_report(list(missing.values()), workers=workers,
-                                   cache_dir=cache.root, backend=backend)
+                                   cache_dir=cache.root)
         report.failures.extend(asdict(f) for f in recorded.failures)
         unrecorded = {failure.key for failure in recorded.failures}
         misses = len(missing) - len(unrecorded)
@@ -237,7 +233,7 @@ def run_sweep(workloads, axes, *, preset: str = "paper",
                 continue
             try:
                 run = run_workload(spec, dspec.key, job.scale, cache=cache,
-                                   price=False, backend=backend)
+                                   price=False)
             except Exception as exc:
                 report.failures.append(_failure(key, exc))
                 continue

@@ -28,11 +28,11 @@ from typing import Iterator
 import numpy as np
 
 from repro.arch.config import SparseCoreConfig
-from repro.arch.trace import NO_BURST, OpKind, Trace, su_cycles_for
+from repro.arch.trace import NO_BURST, OpKind, su_cycles_for
 from repro.arch.transfer import TransferModel
 from repro.errors import StreamTypeFault
 from repro.obs.probe import NULL_PROBE, Probe
-from repro.record import make_trace, normalize_backend
+from repro.record.columnar import ColumnarTrace
 from repro.streams import ops
 from repro.streams.runstats import UNBOUNDED, analyze_pair
 from repro.streams.stream import KEY_BYTES
@@ -80,7 +80,7 @@ class AppRun:
 
     name: str
     result: object
-    trace: Trace
+    trace: ColumnarTrace
     machine: "Machine"
 
     @property
@@ -108,19 +108,16 @@ class Machine:
     """Recording machine: functional results + cost trace."""
 
     __slots__ = ("config", "obs", "trace", "transfer", "_burst", "_width",
-                 "record_lengths", "length_samples", "_clock", "_add_op",
-                 "_append_length", "backend", "_defer")
+                 "record_lengths", "length_samples", "_clock",
+                 "_append_length", "_defer")
 
     def __init__(self, config: SparseCoreConfig | None = None,
                  name: str = "run", record_lengths: bool = False,
-                 probe: Probe | None = None, backend: str | None = None):
+                 probe: Probe | None = None):
         self.config = config or SparseCoreConfig()
         self.obs = probe or NULL_PROBE
-        #: recording backend ("rows" or "columnar"; None resolves via
-        #: $REPRO_RECORD_BACKEND) — both freeze to identical traces
-        self.backend = normalize_backend(backend)
         self._width = self.config.su_buffer_width
-        self.trace = make_trace(self.backend, name, width=self._width)
+        self.trace = ColumnarTrace(name, width=self._width)
         self.transfer = TransferModel(self.config, self.obs.counters)
         self._burst = NO_BURST
         self.record_lengths = record_lengths
@@ -130,15 +127,9 @@ class Machine:
         #: it by their SU time, stalls by their charged cycles)
         self._clock = 0.0
         # Pre-bound hot-path methods: one op records through a single
-        # bound-method call, not repeated attribute chases.  The
-        # columnar backend defers analysis: its per-op entry point
-        # takes key arrays, not OpStats.
-        if self.backend == "columnar":
-            self._add_op = None
-            self._defer = self.trace.add_op_keys
-        else:
-            self._add_op = self.trace.add_op
-            self._defer = None
+        # bound-method call, not repeated attribute chases.  The trace
+        # defers merge-run analysis: it takes key arrays, not OpStats.
+        self._defer = self.trace.add_op_keys
         self._append_length = self.length_samples.append
 
     # -- stream initialization (S_READ / S_VREAD) -----------------------------
@@ -289,9 +280,8 @@ class Machine:
     def _record(self, kind: OpKind, a: StreamOperand, b: StreamOperand,
                 bound: int, *, nested: bool = False,
                 flop_pairs: int = 0, extra_mem: tuple[float, float] = (0, 0)):
-        """Record one op; returns its :class:`OpStats` on the rows
-        backend and ``None`` on the columnar backend (analysis is
-        deferred — count ops fall back to the functional kernels)."""
+        """Record one op; its merge-run analysis is deferred to the
+        trace, so count ops answer through the functional kernels."""
         # Inlined take_pending(): almost every op sees zero pending
         # charges, so skip the call (and the stores) in that case.
         cpu_mem, sc_mem = extra_mem
@@ -303,37 +293,20 @@ class Machine:
             cpu_mem += b.pending_cpu
             sc_mem += b.pending_sc
             b.pending_cpu = b.pending_sc = 0.0
-        if self._defer is not None:
-            self._defer(kind, a.keys, b.keys, bound, burst=self._burst,
-                        nested=nested, cpu_mem=cpu_mem, sc_mem=sc_mem,
-                        flop_pairs=flop_pairs)
-            self.trace.shared_scalar_instrs += OP_SETUP_INSTRS
-            if self.obs.enabled:
-                # Profiled runs still observe per-op stats eagerly; the
-                # trace itself stays deferred (identical frozen output).
-                stats = analyze_pair(a.keys, b.keys, bound,
-                                     width=self._width)
-                self._observe_op(kind, stats, nested=nested,
-                                 cpu_mem=cpu_mem, sc_mem=sc_mem,
-                                 flop_pairs=flop_pairs)
-            if self.record_lengths:
-                self._append_length(a.keys.size)
-                self._append_length(b.keys.size)
-            return None
-        stats = analyze_pair(a.keys, b.keys, bound, width=self._width)
-        self._add_op(
-            kind, stats, burst=self._burst, nested=nested,
-            cpu_mem=cpu_mem, sc_mem=sc_mem, flop_pairs=flop_pairs,
-        )
+        self._defer(kind, a.keys, b.keys, bound, burst=self._burst,
+                    nested=nested, cpu_mem=cpu_mem, sc_mem=sc_mem,
+                    flop_pairs=flop_pairs)
         self.trace.shared_scalar_instrs += OP_SETUP_INSTRS
         if self.obs.enabled:
+            # Profiled runs observe per-op stats eagerly; the trace
+            # itself stays deferred (identical frozen output).
+            stats = analyze_pair(a.keys, b.keys, bound, width=self._width)
             self._observe_op(kind, stats, nested=nested,
                              cpu_mem=cpu_mem, sc_mem=sc_mem,
                              flop_pairs=flop_pairs)
         if self.record_lengths:
             self._append_length(a.keys.size)
             self._append_length(b.keys.size)
-        return stats
 
     def intersect(self, a, b, bound: int = UNBOUNDED) -> StreamOperand:
         a, b = self._coerce(a), self._coerce(b)
@@ -342,10 +315,8 @@ class Machine:
 
     def intersect_count(self, a, b, bound: int = UNBOUNDED) -> int:
         a, b = self._coerce(a), self._coerce(b)
-        stats = self._record(OpKind.INTERSECT, a, b, bound)
-        if stats is None:
-            return ops.intersect_count(a.keys, b.keys, bound)
-        return stats.intersect_len
+        self._record(OpKind.INTERSECT, a, b, bound)
+        return ops.intersect_count(a.keys, b.keys, bound)
 
     def subtract(self, a, b, bound: int = UNBOUNDED) -> StreamOperand:
         a, b = self._coerce(a), self._coerce(b)
@@ -354,10 +325,8 @@ class Machine:
 
     def subtract_count(self, a, b, bound: int = UNBOUNDED) -> int:
         a, b = self._coerce(a), self._coerce(b)
-        stats = self._record(OpKind.SUBTRACT, a, b, bound)
-        if stats is None:
-            return ops.subtract_count(a.keys, b.keys, bound)
-        return stats.subtract_len
+        self._record(OpKind.SUBTRACT, a, b, bound)
+        return ops.subtract_count(a.keys, b.keys, bound)
 
     def merge(self, a, b) -> StreamOperand:
         a, b = self._coerce(a), self._coerce(b)
@@ -366,10 +335,8 @@ class Machine:
 
     def merge_count(self, a, b) -> int:
         a, b = self._coerce(a), self._coerce(b)
-        stats = self._record(OpKind.MERGE, a, b, UNBOUNDED)
-        if stats is None:
-            return ops.merge_count(a.keys, b.keys)
-        return stats.merge_len
+        self._record(OpKind.MERGE, a, b, UNBOUNDED)
+        return ops.merge_count(a.keys, b.keys)
 
     # -- value ops ------------------------------------------------------------------
 
@@ -397,35 +364,20 @@ class Machine:
                op: str = "MAC", bound: int = UNBOUNDED) -> float:
         """``S_VINTER``: reduce over value pairs of intersected keys."""
         av, bv = self._require_values(a), self._require_values(b)
-        if self._defer is None:
-            stats = analyze_pair(a.keys, b.keys, bound, width=self._width)
-            n_matches = stats.n_matches
-        else:
-            stats = None
-            n_matches = ops.intersect_count(a.keys, b.keys, bound)
+        n_matches = ops.intersect_count(a.keys, b.keys, bound)
         ga = self._gather_values(a, n_matches)
         gb = self._gather_values(b, n_matches)
         gather = (ga[0] + gb[0], ga[1] + gb[1])
         cpu_a, sc_a = a.take_pending()
         cpu_b, sc_b = b.take_pending()
-        if stats is None:
-            self._defer(OpKind.VINTER, a.keys, b.keys, bound,
-                        burst=self._burst,
-                        cpu_mem=cpu_a + cpu_b + gather[0],
-                        sc_mem=sc_a + sc_b + gather[1],
-                        flop_pairs=n_matches)
-        else:
-            self._add_op(
-                OpKind.VINTER, stats, burst=self._burst,
-                cpu_mem=cpu_a + cpu_b + gather[0],
-                sc_mem=sc_a + sc_b + gather[1],
-                flop_pairs=n_matches,
-            )
+        self._defer(OpKind.VINTER, a.keys, b.keys, bound,
+                    burst=self._burst,
+                    cpu_mem=cpu_a + cpu_b + gather[0],
+                    sc_mem=sc_a + sc_b + gather[1],
+                    flop_pairs=n_matches)
         self.trace.add_scalar(OP_SETUP_INSTRS)
         if self.obs.enabled:
-            if stats is None:
-                stats = analyze_pair(a.keys, b.keys, bound,
-                                     width=self._width)
+            stats = analyze_pair(a.keys, b.keys, bound, width=self._width)
             self._observe_op(OpKind.VINTER, stats,
                              cpu_mem=cpu_a + cpu_b + gather[0],
                              sc_mem=sc_a + sc_b + gather[1],
@@ -436,45 +388,27 @@ class Machine:
                beta: float, b: StreamOperand) -> StreamOperand:
         """``S_VMERGE``: scaled sparse addition producing a new stream."""
         av, bv = self._require_values(a), self._require_values(b)
-        if self._defer is None:
-            stats = analyze_pair(a.keys, b.keys, width=self._width)
-            n_out = stats.merge_len
-            keys = vals = None
-        else:
-            # The functional kernel is stateless, so computing the
-            # result early (for its length) charges nothing out of
-            # order; it is returned below exactly as on the rows path.
-            stats = None
-            keys, vals = ops.vmerge(alpha, a.keys, av, beta, b.keys, bv)
-            n_out = int(keys.size)
+        # The functional kernel is stateless, so computing the result
+        # first (for its length) charges nothing out of order.
+        keys, vals = ops.vmerge(alpha, a.keys, av, beta, b.keys, bv)
+        n_out = int(keys.size)
         ga = self._gather_values(a, len(a))
         gb = self._gather_values(b, len(b))
         gather = (ga[0] + gb[0], ga[1] + gb[1])
         cpu_a, sc_a = a.take_pending()
         cpu_b, sc_b = b.take_pending()
-        if stats is None:
-            self._defer(OpKind.VMERGE, a.keys, b.keys, UNBOUNDED,
-                        burst=self._burst,
-                        cpu_mem=cpu_a + cpu_b + gather[0],
-                        sc_mem=sc_a + sc_b + gather[1],
-                        flop_pairs=n_out)
-        else:
-            self._add_op(
-                OpKind.VMERGE, stats, burst=self._burst,
-                cpu_mem=cpu_a + cpu_b + gather[0],
-                sc_mem=sc_a + sc_b + gather[1],
-                flop_pairs=n_out,
-            )
+        self._defer(OpKind.VMERGE, a.keys, b.keys, UNBOUNDED,
+                    burst=self._burst,
+                    cpu_mem=cpu_a + cpu_b + gather[0],
+                    sc_mem=sc_a + sc_b + gather[1],
+                    flop_pairs=n_out)
         self.trace.add_scalar(OP_SETUP_INSTRS)
         if self.obs.enabled:
-            if stats is None:
-                stats = analyze_pair(a.keys, b.keys, width=self._width)
+            stats = analyze_pair(a.keys, b.keys, width=self._width)
             self._observe_op(OpKind.VMERGE, stats,
                              cpu_mem=cpu_a + cpu_b + gather[0],
                              sc_mem=sc_a + sc_b + gather[1],
                              flop_pairs=n_out)
-        if keys is None:
-            keys, vals = ops.vmerge(alpha, a.keys, av, beta, b.keys, bv)
         return StreamOperand(keys, vals)
 
     # -- nested intersection (S_NESTINTER) ------------------------------------------
@@ -494,33 +428,16 @@ class Machine:
             for s_i in s.keys.tolist():
                 nbr = self.neighbors(graph, s_i)
                 cpu_n, sc_n = nbr.take_pending()
-                if defer is not None:
-                    defer(OpKind.INTERSECT, s.keys, nbr.keys, s_i,
-                          burst=self._burst, nested=True,
-                          cpu_mem=cpu_n + cpu_pend,
-                          sc_mem=sc_n + sc_pend)
-                    if self.obs.enabled:
-                        stats = analyze_pair(s.keys, nbr.keys, bound=s_i,
-                                             width=self._width)
-                        self._observe_op(OpKind.INTERSECT, stats,
-                                         nested=True,
-                                         cpu_mem=cpu_n + cpu_pend,
-                                         sc_mem=sc_n + sc_pend)
-                    total += ops.intersect_count(s.keys, nbr.keys, s_i)
-                else:
+                defer(OpKind.INTERSECT, s.keys, nbr.keys, s_i,
+                      burst=self._burst, nested=True,
+                      cpu_mem=cpu_n + cpu_pend, sc_mem=sc_n + sc_pend)
+                if self.obs.enabled:
                     stats = analyze_pair(s.keys, nbr.keys, bound=s_i,
                                          width=self._width)
-                    self._add_op(
-                        OpKind.INTERSECT, stats, burst=self._burst,
-                        nested=True,
-                        cpu_mem=cpu_n + cpu_pend, sc_mem=sc_n + sc_pend,
-                    )
-                    if self.obs.enabled:
-                        self._observe_op(OpKind.INTERSECT, stats,
-                                         nested=True,
-                                         cpu_mem=cpu_n + cpu_pend,
-                                         sc_mem=sc_n + sc_pend)
-                    total += stats.n_matches
+                    self._observe_op(OpKind.INTERSECT, stats, nested=True,
+                                     cpu_mem=cpu_n + cpu_pend,
+                                     sc_mem=sc_n + sc_pend)
+                total += ops.intersect_count(s.keys, nbr.keys, s_i)
                 cpu_pend = sc_pend = 0.0
                 self.trace.add_cpu_scalar(CPU_NESTED_LOOP_INSTRS)
                 if self.record_lengths:

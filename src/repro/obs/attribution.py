@@ -117,7 +117,7 @@ def attribute(trace: Trace | FrozenTrace, model: SparseCoreModel | None = None,
               workload: str | None = None) -> Attribution:
     """Attribute a trace's SparseCore cycles to the five buckets."""
     model = model or SparseCoreModel()
-    t = trace.freeze() if isinstance(trace, Trace) else trace
+    t = trace.freeze()
     c = model.config
     report = model.cost(t)
 

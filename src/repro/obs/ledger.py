@@ -18,7 +18,7 @@ appended as JSON Lines under ``$REPRO_LEDGER_DIR`` (the ledger is off
 * ``ts``  — wall-clock epoch seconds (comparable across processes),
 * ``pid`` / ``sid`` — emitting process and its ledger session token,
 * any further keys are free-form scalar attributes (``workload``,
-  ``dataset``, ``fp`` run fingerprint, ``backend``, ``outcome``, ...);
+  ``dataset``, ``fp`` run fingerprint, ``outcome``, ...);
   one level of ``str -> scalar`` nesting is allowed for counter
   snapshots (the engine's ``res`` resilience delta).
 

@@ -57,10 +57,6 @@ class ProfileArgs:
     tensor: str = "Ch"
     scale: float = 1.0
     max_events: int = 200_000
-    #: recording backend (``rows``/``columnar``; ``None`` = env default).
-    #: Both backends observe identical ops, so the profile JSON is
-    #: backend-independent — asserted by the golden tests.
-    backend: str | None = None
 
 
 @dataclass
@@ -176,7 +172,7 @@ def profile_workload(name: str, args: ProfileArgs | None = None,
     probe = Probe.collecting(max_events=args.max_events)
     start = time.perf_counter()
     rec = run_workload(spec, dataset, args.scale, cache=None, probe=probe,
-                       price=False, backend=args.backend)
+                       price=False)
     wall = time.perf_counter() - start
 
     from repro.arch.cpu import CpuModel

@@ -9,12 +9,12 @@ baseline instead of letting the artifacts rot write-only.
 
 Classification is by report kind and dotted key path:
 
-* **time** (lower is better) — ``timings_s.*`` and the recording
-  microbench ``rows_s``/``columnar_s`` in wallclock reports,
+* **time** (lower is better) — ``timings_s.*`` and
+  ``ledger.cold_serial_ledger_s`` in wallclock reports,
   ``workloads.*.wall_seconds`` in profile reports.  Regression when
   ``new > old * (1 + tolerance)``.
-* **ratio** (higher is better) — ``speedups.*``, ``throughput.*``,
-  ``recording.columnar_speedup`` and ``workloads.*.speedup_vs_cpu``.
+* **ratio** (higher is better) — ``speedups.*``, ``throughput.*``
+  and ``workloads.*.speedup_vs_cpu``.
   Regression when ``new < old * (1 - tolerance)``.  Ratio checks are
   only applied when both reports ran the same ``mode`` (a smoke run's
   warm/cold ratio is not comparable to a full run's).
@@ -74,12 +74,9 @@ def classify(kind: str, path: str) -> str:
     """``"time"`` (lower better), ``"ratio"`` (higher better), ``"info"``."""
     if kind == "wallclock":
         if path.startswith("timings_s.") \
-                or path in ("recording.rows_s", "recording.columnar_s",
-                            "ledger.cold_serial_ledger_s"):
+                or path == "ledger.cold_serial_ledger_s":
             return "time"
-        if path.startswith(("speedups.", "throughput.")) \
-                or path == "recording.columnar_speedup" \
-                or path.startswith("recording.ops_per_s"):
+        if path.startswith(("speedups.", "throughput.")):
             return "ratio"
         return "info"
     if path.endswith(".wall_seconds"):

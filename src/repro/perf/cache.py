@@ -61,12 +61,11 @@ from repro.resilience.metrics import RES_COUNTERS
 #: spec-derived fingerprints from the unified workload pipeline
 #: (:func:`repro.workloads.run_fingerprint`) replaced the per-family
 #: key builders.  v3: the recording backend joined the fingerprint
-#: params (:func:`repro.workloads.run_fingerprint` ``backend=``), so
-#: rows/columnar entries can never alias; the ``.npz`` trace layout
-#: itself is unchanged.  ``cache stats``/``fsck`` report a per-version
-#: histogram so a bump shows up as counted stale entries rather than a
-#: silent mass-miss.
-CACHE_FORMAT_VERSION = 3
+#: params.  v4: one recorder remains, so the backend left the
+#: fingerprint again; the ``.npz`` trace layout is unchanged throughout.
+#: ``cache stats``/``fsck`` report a per-version histogram so a bump
+#: shows up as counted stale entries rather than a silent mass-miss.
+CACHE_FORMAT_VERSION = 4
 
 #: Sidecar schema version (the JSON next to each ``.npz``).  v2 added
 #: the ``payload_sha256`` content checksum (v1 sidecars, which lack it,

@@ -191,14 +191,13 @@ def _execute_job(payload) -> tuple[str, dict, dict | None, dict, float]:
     """Top-level (picklable) worker: run one job, return its metrics.
 
     ``payload`` is ``(job, cache_root, use_disk_cache, collect_counters,
-    attempt, backend)`` — primitives only, so the same function serves
+    attempt)`` — primitives only, so the same function serves
     the inline serial path and pool workers.  Returns the job key, its
     metrics, the optional workload-counter snapshot, the delta of
     resilience counters this job produced (merged parent-side), and the
     attempt's wall-clock seconds.
     """
-    job, cache_root, use_disk_cache, collect_counters, attempt, backend = \
-        payload
+    job, cache_root, use_disk_cache, collect_counters, attempt = payload
     from repro.obs.probe import Probe
     from repro.perf.cache import RunCache, default_run_cache
     from repro.workloads import run_workload, workload_for_app
@@ -220,8 +219,7 @@ def _execute_job(payload) -> tuple[str, dict, dict | None, dict, float]:
 
         spec = workload_for_app(job.kind, job.app)
         metrics = run_workload(spec, job.dataset, job.scale,
-                               cache=cache, probe=probe,
-                               backend=backend).metrics
+                               cache=cache, probe=probe).metrics
     finally:
         faults.set_attempt(0)
     wall = time.perf_counter() - start
@@ -253,8 +251,7 @@ def run_jobs_report(jobs, *, workers: int = 1, cache_dir=None,
                     use_disk_cache: bool = True,
                     timeout: float | None = None,
                     retries: int | None = None,
-                    backoff: float | None = None,
-                    backend: str | None = None) -> EngineReport:
+                    backoff: float | None = None) -> EngineReport:
     """Execute ``jobs`` with retries/timeouts/fallbacks; full report.
 
     Duplicate jobs (same key) run once.  ``timeout``/``retries``/
@@ -263,10 +260,6 @@ def run_jobs_report(jobs, *, workers: int = 1, cache_dir=None,
     into it in job-list order, so totals match a serial instrumented
     run exactly — retries never double-count.  No exception from a job
     escapes this function; failures land in ``report.failures``.
-    ``backend`` selects the recording backend for every job (rides in
-    the worker payload; job keys are backend-free because both backends
-    produce identical metrics — the disk cache distinguishes them via
-    the run fingerprint).
     """
     unique: dict[str, RunJob] = {}
     for job in jobs:
@@ -278,7 +271,6 @@ def run_jobs_report(jobs, *, workers: int = 1, cache_dir=None,
         return report
 
     from repro.obs.spans import clock
-    from repro.record import normalize_backend
 
     led = clock()
     engine_t0 = led.start()
@@ -289,11 +281,9 @@ def run_jobs_report(jobs, *, workers: int = 1, cache_dir=None,
     timeout = default_timeout() if timeout is None \
         else (float(timeout) if timeout and timeout > 0 else None)
     backoff = default_backoff() if backoff is None else max(0.0, float(backoff))
-    backend = normalize_backend(backend)
 
     def payload_for(i: int, attempt: int):
-        return (ordered[i], cache_root, use_disk_cache, collect, attempt,
-                backend)
+        return (ordered[i], cache_root, use_disk_cache, collect, attempt)
 
     attempts = [0] * n  # failed attempts charged so far, per job
     inline = [False] * n
@@ -487,7 +477,7 @@ def run_jobs_report(jobs, *, workers: int = 1, cache_dir=None,
                      for name, value in res_after.items()
                      if value != res_before.get(name, 0)}
         led.span("engine.run", engine_t0, jobs=n, workers=workers,
-                 backend=backend, retries=report.retries,
+                 retries=report.retries,
                  timeouts=report.timeouts, crashes=report.crashes,
                  pool_rebuilds=report.pool_rebuilds,
                  inline_fallbacks=report.inline_fallbacks,
@@ -501,7 +491,6 @@ def run_jobs(jobs, *, workers: int = 1, cache_dir=None,
              timeout: float | None = None,
              retries: int | None = None,
              backoff: float | None = None,
-             backend: str | None = None,
              strict: bool = False) -> dict[str, dict]:
     """Execute ``jobs``, serially or across ``workers`` processes.
 
@@ -515,7 +504,7 @@ def run_jobs(jobs, *, workers: int = 1, cache_dir=None,
                              counters=counters,
                              use_disk_cache=use_disk_cache,
                              timeout=timeout, retries=retries,
-                             backoff=backoff, backend=backend)
+                             backoff=backoff)
     if report.failures:
         summary = "; ".join(f"{f.key}: {f.error}: {f.message}"
                             for f in report.failures[:5])

@@ -1,70 +1,22 @@
-"""Recording backends: how a :class:`~repro.machine.context.Machine`
-stores the operations it observes.
+"""Recording: how a :class:`~repro.machine.context.Machine` stores the
+operations it observes.
 
-Two interchangeable backends produce value- and byte-identical
-:class:`~repro.arch.trace.FrozenTrace` payloads:
-
-``rows`` (default)
-    the per-op row-tuple :class:`~repro.arch.trace.Trace` — merge-run
-    analysis runs inline at record time;
-``columnar``
-    :class:`~repro.record.columnar.ColumnarTrace` — operations are
-    captured as array references and analysed in vectorised batches
-    at freeze/compaction time (~5x less recording overhead on
-    recording-bound op mixes; see docs/performance.md).
-
-Selection threads through the whole stack —
-``Machine(backend=...)``, ``run_workload(..., backend=...)`` (part of
-the cache fingerprint), the parallel engine, the profiler, and the CLI
-``--backend`` flag — and defaults to ``$REPRO_RECORD_BACKEND`` when
-set (validated like every other knob; nonsense values warn once and
-fall back to ``rows``).
+Every ``Machine`` records into a
+:class:`~repro.record.columnar.ColumnarTrace`: an op is captured as
+references to its key arrays plus its scalar operands, and the
+merge-run statistics of pending ops are computed in vectorised
+:func:`~repro.record.columnar.analyze_segments` batches when
+:data:`~repro.record.columnar.COMPACT_ELEMS` key elements are pending
+and at freeze time.  The frozen trace is a regular
+:class:`~repro.arch.trace.FrozenTrace`, so pricing and the run cache
+never see how it was recorded.  The per-op
+:func:`~repro.streams.runstats.analyze_pair` and
+:class:`~repro.arch.trace.Trace` remain the reference the batched path
+is tested against (see docs/performance.md).
 """
 
 from __future__ import annotations
 
 from repro.record.columnar import ColumnarTrace, analyze_segments
-from repro.resilience.knobs import env_choice
-from repro.streams.runstats import SU_BUFFER_WIDTH
 
-#: The recognised recording backends, in documentation order.
-RECORD_BACKENDS = ("rows", "columnar")
-
-#: Backend used when neither the caller nor the environment picks one.
-DEFAULT_BACKEND = "rows"
-
-_ENV_BACKEND = "REPRO_RECORD_BACKEND"
-
-
-def default_record_backend() -> str:
-    """The env-selected backend (``REPRO_RECORD_BACKEND``, validated)."""
-    return env_choice(_ENV_BACKEND, DEFAULT_BACKEND, RECORD_BACKENDS)
-
-
-def normalize_backend(backend: str | None) -> str:
-    """Resolve ``None`` to the env default; reject unknown names."""
-    if backend is None:
-        return default_record_backend()
-    if backend not in RECORD_BACKENDS:
-        raise ValueError(
-            f"unknown recording backend {backend!r}; "
-            f"expected one of {RECORD_BACKENDS}")
-    return backend
-
-
-def make_trace(backend: str | None, name: str = "trace", *,
-               width: int = SU_BUFFER_WIDTH):
-    """Construct the trace object for ``backend`` (validated)."""
-    backend = normalize_backend(backend)
-    if backend == "columnar":
-        return ColumnarTrace(name, width=width)
-    from repro.arch.trace import Trace
-
-    return Trace(name)
-
-
-__all__ = [
-    "ColumnarTrace", "DEFAULT_BACKEND", "RECORD_BACKENDS",
-    "analyze_segments", "default_record_backend", "make_trace",
-    "normalize_backend",
-]
+__all__ = ["ColumnarTrace", "analyze_segments"]

@@ -1,15 +1,15 @@
-"""Columnar recording backend: whole-operation capture, batch analysis.
+"""The recorder: whole-operation capture, batch analysis.
 
-The row-tuple :class:`~repro.arch.trace.Trace` pays one
-:func:`~repro.streams.runstats.analyze_pair` call per stream operation
-— a handful of numpy dispatches (or a pure-Python merge walk) whose
-fixed overhead dominates cold recording.  :class:`ColumnarTrace`
-decouples traversal from analysis instead: recording an op only stores
-references to its (bound-truncated) key arrays plus the scalar operands
-(kind, burst id, memory charges), and the merge-run statistics of *all*
-pending operations are computed in one vectorised pass at
-:meth:`ColumnarTrace.freeze` time (or earlier, when a compaction
-threshold bounds held memory).
+Analysing each stream operation as it is recorded (one
+:func:`~repro.streams.runstats.analyze_pair` call per op, as the
+row-tuple :class:`~repro.arch.trace.Trace` takes it) pays a handful of
+numpy dispatches whose fixed overhead dominates cold recording.
+:class:`ColumnarTrace` decouples traversal from analysis instead:
+recording an op only stores references to its (bound-truncated) key
+arrays plus the scalar operands (kind, burst id, memory charges), and
+the merge-run statistics of *all* pending operations are computed in
+one vectorised pass at :meth:`ColumnarTrace.freeze` time (or earlier,
+when :data:`COMPACT_ELEMS` bounds held memory).
 
 The batch analyser :func:`analyze_segments` concatenates every
 operand pair into two flat key arrays, offsetting each operation's keys
@@ -21,13 +21,11 @@ union's source labels and run boundaries — the exact quantities
 terminal-run exemption of the intersection cycle count.
 
 :meth:`ColumnarTrace.freeze` emits a regular
-:class:`~repro.arch.trace.FrozenTrace`: same columns, same dtypes, same
-values as the row backend, so serialized payloads are byte-identical
-and every downstream consumer (pricing, cost models, the run cache) is
-untouched.  The trace *file* format therefore stays at v2; what changes
-is the cache key schema (the recording backend is part of the
-fingerprint), tracked by
-:data:`~repro.perf.cache.CACHE_FORMAT_VERSION`.
+:class:`~repro.arch.trace.FrozenTrace`: the same columns, dtypes and
+values a :class:`~repro.arch.trace.Trace` fed the per-op statistics
+freezes to, so serialized payloads are byte-identical to the per-op
+reference and every downstream consumer (pricing, cost models, the run
+cache) reads one format.
 """
 
 from __future__ import annotations
@@ -152,12 +150,10 @@ class ColumnarTrace:
     """Deferred-analysis trace with the :class:`Trace` recording API.
 
     Scalar accounting (:meth:`add_scalar` and friends), burst ids, and
-    :meth:`freeze` behave exactly like the row backend; the per-op
-    entry point is :meth:`add_op_keys`, which captures operand *arrays*
+    :meth:`freeze` behave exactly like :class:`Trace`; the per-op entry
+    point is :meth:`add_op_keys`, which captures operand *arrays*
     instead of pre-computed :class:`~repro.streams.runstats.OpStats`.
     """
-
-    backend = "columnar"
 
     __slots__ = ("name", "shared_scalar_instrs", "cpu_only_scalar_instrs",
                  "sc_only_scalar_instrs", "_next_burst", "_frozen",

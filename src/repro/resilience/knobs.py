@@ -18,8 +18,6 @@ variable                   default meaning
 ``REPRO_JOB_RETRIES``           2  pool retries before inline fallback
 ``REPRO_JOB_TIMEOUT``           0  per-job seconds (0 = no timeout)
 ``REPRO_RETRY_BACKOFF``      0.05  base retry backoff seconds
-``REPRO_RECORD_BACKEND``     rows  default recording backend
-                                   (``rows`` or ``columnar``)
 ========================== ======= ===============================
 """
 
@@ -89,17 +87,4 @@ def env_float(name: str, default: float, *, minimum: float | None = None,
                        minimum=minimum, maximum=maximum)
 
 
-def env_choice(name: str, default: str, choices) -> str:
-    """Read an enumerated knob, falling back to ``default`` with one
-    warning when the value is not among ``choices``."""
-    raw = os.environ.get(name)
-    if raw is None or raw == "":
-        return default
-    if raw not in choices:
-        _warn_once(name, f"ignoring {name}={raw!r}: expected one of "
-                         f"{tuple(choices)}; using default {default!r}")
-        return default
-    return raw
-
-
-__all__ = ["env_choice", "env_float", "env_int", "reset_knob_warnings"]
+__all__ = ["env_float", "env_int", "reset_knob_warnings"]

@@ -54,16 +54,13 @@ def dataset_params(dspec) -> dict:
     raise TypeError(f"unknown dataset spec type {type(dspec).__name__}")
 
 
-def run_fingerprint(spec: WorkloadSpec, dspec, scale: float = 1.0,
-                    backend: str = "rows") -> str:
+def run_fingerprint(spec: WorkloadSpec, dspec, scale: float = 1.0) -> str:
     """Disk-cache fingerprint of one run, derived from the spec.
 
     The single cache-key construction for every family: workload
     identity (family + app selector), the dataset's generator
-    parameters, the effective scale, and the recording backend (the
-    backends produce byte-identical traces, but keying on the backend
-    guarantees entries can never alias even if one regresses).
-    Versioned by :data:`~repro.perf.cache.CACHE_FORMAT_VERSION` via
+    parameters, and the effective scale.  Versioned by
+    :data:`~repro.perf.cache.CACHE_FORMAT_VERSION` via
     :func:`~repro.perf.cache.fingerprint`.
     """
     from repro.perf.cache import fingerprint
@@ -74,7 +71,6 @@ def run_fingerprint(spec: WorkloadSpec, dspec, scale: float = 1.0,
         "num_labels": spec.num_labels,
         "dataset": dataset_params(dspec),
         "scale": scale,
-        "backend": backend,
     })
 
 
@@ -98,9 +94,6 @@ class RunResult:
     #: empty on cache hits, which execute nothing
     summary: dict = field(default_factory=dict)
     cached: bool = False
-    #: recording backend the trace was (or originally had been) recorded
-    #: under ("rows" or "columnar"; both freeze to identical traces)
-    backend: str = "rows"
 
 
 def _record_gpm(spec, dspec, scale, machine):
@@ -144,8 +137,7 @@ _RECORDERS = {"gpm": _record_gpm, "spmspm": _record_spmspm,
 
 def run_workload(workload: str | WorkloadSpec, dataset: str | None = None,
                  scale: float = 1.0, *, cache=None, probe=None,
-                 price: bool = True, backend: str | None = None,
-                 config=None) -> RunResult:
+                 price: bool = True, config=None) -> RunResult:
     """Run one registered workload through the shared pipeline.
 
     ``cache`` (a :class:`~repro.perf.cache.RunCache`) short-circuits
@@ -154,10 +146,7 @@ def run_workload(workload: str | WorkloadSpec, dataset: str | None = None,
     runs execute nothing, so they contribute no counters.  With
     ``price=False`` the metrics step is skipped (callers that do their
     own pricing, e.g. the profiler, use the trace directly).
-    ``backend`` selects the recording backend (``rows``/``columnar``;
-    ``None`` resolves via ``$REPRO_RECORD_BACKEND``) — it is part of
-    the cache fingerprint, so entries recorded under different backends
-    never alias.  ``config`` (a
+    ``config`` (a
     :class:`~repro.arch.config.MachineConfigs`; ``None`` = the
     ``paper`` preset) selects the machine pair the trace is priced
     under.  It is deliberately **not** part of the trace cache key:
@@ -167,22 +156,19 @@ def run_workload(workload: str | WorkloadSpec, dataset: str | None = None,
     of every *priced-result* identity instead (memo keys, sweep rows).
     """
     from repro.obs.spans import clock
-    from repro.record import normalize_backend
     from repro.resilience.faults import inject
 
     led = clock()
     t0 = led.start()
     spec = get_workload(workload) if isinstance(workload, str) else workload
     dspec = spec.resolve_dataset(dataset)
-    backend = normalize_backend(backend)
     # Chaos-test hook: an active fault plan may raise a transient
     # (injected) OSError here, exercising the engine's retry path.
     inject("dataset.resolve", f"{spec.name}:{dspec.key}")
     scale = scale if spec.dataset_kind == "graph" else 1.0
     led.span("dataset.resolve", t0, workload=spec.name, dataset=dspec.key)
 
-    key = run_fingerprint(spec, dspec, scale, backend) \
-        if cache is not None else None
+    key = run_fingerprint(spec, dspec, scale) if cache is not None else None
     if cache is not None:
         hit = cache.get(key, ledger_attrs={"workload": spec.name,
                                            "dataset": dspec.key})
@@ -193,44 +179,37 @@ def run_workload(workload: str | WorkloadSpec, dataset: str | None = None,
                                 meta=hit.meta,
                                 configs=config) if price else None
             led.span("price", t0, workload=spec.name, dataset=dspec.key,
-                     backend=backend, fp=key, cached=True,
-                     cfg=_config_fp(config))
+                     fp=key, cached=True, cfg=_config_fp(config))
             return RunResult(spec=spec, dataset=dspec.key, scale=scale,
                              trace=hit.trace, metrics=metrics,
                              config=config, meta=dict(hit.meta),
-                             lengths=hit.lengths,
-                             cached=True, backend=backend)
+                             lengths=hit.lengths, cached=True)
 
     from repro.machine.context import Machine
 
     machine = Machine(name=f"{spec.name}:{dspec.key}",
-                      record_lengths=spec.family == "gpm", probe=probe,
-                      backend=backend)
+                      record_lengths=spec.family == "gpm", probe=probe)
     t0 = led.start()
     meta, summary = _RECORDERS[spec.family](spec, dspec, scale, machine)
-    led.span("record", t0, workload=spec.name, dataset=dspec.key,
-             backend=backend, fp=key)
+    led.span("record", t0, workload=spec.name, dataset=dspec.key, fp=key)
     t0 = led.start()
     trace = machine.trace.freeze()
     led.span("freeze", t0, workload=spec.name, dataset=dspec.key,
-             backend=backend, num_ops=trace.num_ops)
+             num_ops=trace.num_ops)
     lengths = np.asarray(machine.length_samples, dtype=np.int64)
     if cache is not None:
         cache.put(key, trace, lengths=lengths, meta={
             "kind": spec.family, "workload": spec.name, "app": spec.app,
-            "dataset": dspec.key, "scale": scale, "backend": backend,
-            **meta,
+            "dataset": dspec.key, "scale": scale, **meta,
         })
     t0 = led.start()
     metrics = price_run(spec, dspec.key, trace, lengths=lengths,
                         meta=meta, configs=config) if price else None
     led.span("price", t0, workload=spec.name, dataset=dspec.key,
-             backend=backend, fp=key, cached=False,
-             cfg=_config_fp(config))
+             fp=key, cached=False, cfg=_config_fp(config))
     return RunResult(spec=spec, dataset=dspec.key, scale=scale, trace=trace,
                      metrics=metrics, config=config, meta=meta,
-                     lengths=lengths, summary=summary, cached=False,
-                     backend=backend)
+                     lengths=lengths, summary=summary, cached=False)
 
 
 __all__ = ["RunResult", "dataset_params", "run_fingerprint", "run_workload"]

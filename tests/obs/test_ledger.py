@@ -74,8 +74,7 @@ class TestSchema:
 class TestRoundTrip:
     def test_emit_read_round_trip(self, tmp_path):
         ledger = RunLedger(tmp_path)
-        ledger.emit("record", "span", dur=0.25, workload="triangle",
-                    backend="rows")
+        ledger.emit("record", "span", dur=0.25, workload="triangle")
         ledger.emit("cache.read", "span", dur=0.01, outcome="hit")
         ledger.emit("job.retry", "instant", key="gpm:T", attempt=1)
         ledger.close()
@@ -243,8 +242,7 @@ class TestChromeExport:
 class TestObsCli:
     def _populate(self, tmp_path):
         ledger = RunLedger(tmp_path)
-        ledger.emit("record", "span", dur=0.4, workload="triangle",
-                    backend="rows")
+        ledger.emit("record", "span", dur=0.4, workload="triangle")
         ledger.emit("price", "span", dur=0.05, workload="triangle")
         ledger.emit("cache.read", "span", dur=0.001, outcome="miss")
         ledger.emit("job.submit", "instant", key="gpm:T", lane="serial")

@@ -32,9 +32,8 @@ WALLCLOCK = {
     "throughput": {"runs_per_s_cold": 1.9, "runs_per_s_warm": 19.0},
     "speedups": {"warm_over_cold_serial": 10.0,
                  "parallel_over_cold_serial": 2.5},
-    "recording": {"n_ops": 20000, "rows_s": 2.0, "columnar_s": 0.2,
-                  "columnar_speedup": 10.0, "bit_identical": True},
-    "ledger": {"cold_serial_ledger_s": 10.1, "events": 40},
+    "ledger": {"cold_serial_ledger_s": 10.1, "events": 40,
+               "bit_identical": True},
 }
 
 PROFILE = {
@@ -50,7 +49,6 @@ PROFILE = {
 class TestClassify:
     def test_wallclock_paths(self):
         assert classify("wallclock", "timings_s.cold_serial") == "time"
-        assert classify("wallclock", "recording.rows_s") == "time"
         assert classify("wallclock",
                         "ledger.cold_serial_ledger_s") == "time"
         assert classify("wallclock",
@@ -77,9 +75,9 @@ class TestClassify:
     def test_flatten(self):
         flat = flatten(WALLCLOCK)
         assert flat["timings_s.cold_serial"] == 10.0
-        assert flat["recording.n_ops"] == 20000.0
+        assert flat["ledger.events"] == 40.0
         # booleans are not numeric leaves
-        assert "recording.bit_identical" not in flat
+        assert "ledger.bit_identical" not in flat
 
 
 class TestExitCodes:

@@ -111,8 +111,9 @@ class TestRoundTrip:
 
 class TestFormatVersionReporting:
     """``stats``/``fsck`` must break entries down per trace-format
-    version so a key-schema bump (v2 -> v3, the backend joining the
-    fingerprint) is visible instead of silently reading as misses."""
+    version so a key-schema bump (v3 -> v4, the recording backend
+    leaving the fingerprint) is visible instead of silently reading as
+    misses."""
 
     def _plant(self, cache, version):
         trace = _record_trace()

@@ -1,12 +1,12 @@
-"""Columnar recording backend: batch analyser parity and trace unit
-tests.
+"""The recorder: batch analyser parity, trace unit tests, and pricing.
 
-The contract under test is exact equivalence with the row backend:
-``analyze_segments`` must reproduce ``analyze_pair`` value-for-value
-over arbitrary op batches (including the degenerate shapes the batch
-offset trick has to survive — empty operands, negative keys, huge key
-ranges), and a ``ColumnarTrace`` fed the same op sequence as a ``Trace``
-must freeze to a byte-identical payload.
+The contract under test is exact equivalence with the per-op
+reference: ``analyze_segments`` must reproduce ``analyze_pair``
+value-for-value over arbitrary op batches (including the degenerate
+shapes the batch offset trick has to survive — empty operands, negative
+keys, huge key ranges), a ``ColumnarTrace`` fed the same op sequence as
+a ``Trace`` must freeze to a byte-identical payload, and every cost
+model must price a live ``ColumnarTrace`` exactly as its frozen copy.
 """
 
 import io
@@ -14,9 +14,14 @@ import io
 import numpy as np
 import pytest
 
+from repro.accel import (ExTensorModel, FlexMinerModel, GammaModel,
+                         GpuModel, GramerModel, OuterSpaceModel,
+                         TrieJaxModel)
+from repro.arch.cpu import CpuModel
+from repro.arch.multicore import MultiCoreModel
+from repro.arch.sparsecore import SparseCoreModel
 from repro.arch.trace import OpKind, Trace
-from repro.record import (DEFAULT_BACKEND, RECORD_BACKENDS, make_trace,
-                          normalize_backend)
+from repro.obs.attribution import attribute
 from repro.record.columnar import ColumnarTrace, analyze_segments
 from repro.streams.runstats import (SU_BUFFER_WIDTH, UNBOUNDED,
                                     analyze_pair, truncate_bound)
@@ -93,7 +98,8 @@ class TestAnalyzeSegments:
 
 
 def _record_both(ops, **columnar_kwargs):
-    """Feed one op plan to both backends; return frozen (rows, columnar)."""
+    """Feed one op plan to the per-op reference ``Trace`` (``rows``)
+    and the recorder (``cols``); return both."""
     kinds = (OpKind.INTERSECT, OpKind.SUBTRACT, OpKind.MERGE)
     rows = Trace("t")
     cols = ColumnarTrace("t", **columnar_kwargs)
@@ -168,26 +174,42 @@ class TestColumnarTrace:
         assert cols.new_burst() == 2
 
 
-class TestBackendSelection:
-    def test_make_trace_dispatch(self):
-        assert isinstance(make_trace("columnar"), ColumnarTrace)
-        assert isinstance(make_trace("rows"), Trace)
-        assert isinstance(make_trace(None), Trace)  # default env unset
+def _mixed_trace():
+    """A live trace with every op kind, bursts, nesting and charges."""
+    rng = np.random.default_rng(19)
+    trace = ColumnarTrace("t")
+    burst = trace.new_burst()
+    for i, (a, b, bound) in enumerate(_random_ops(rng, 30)):
+        kind = OpKind(i % 5)
+        trace.add_op_keys(kind, a, b, bound,
+                          burst=burst if i % 3 else -1, nested=i % 4 == 0,
+                          cpu_mem=2.0 * i, sc_mem=0.5 * i,
+                          flop_pairs=i if kind >= OpKind.VINTER else 0)
+    trace.add_scalar(40)
+    trace.add_cpu_scalar(12)
+    trace.add_sc_scalar(3)
+    return trace
 
-    def test_normalize_rejects_unknown(self):
-        with pytest.raises(ValueError, match="unknown recording backend"):
-            normalize_backend("parquet")
-        assert normalize_backend(None) == DEFAULT_BACKEND
-        assert all(normalize_backend(b) == b for b in RECORD_BACKENDS)
 
-    def test_env_knob_selects_columnar(self, monkeypatch):
-        monkeypatch.setenv("REPRO_RECORD_BACKEND", "columnar")
-        assert isinstance(make_trace(None), ColumnarTrace)
+_PRICERS = {
+    "cpu": CpuModel().cost,
+    "sparsecore": SparseCoreModel().cost,
+    "multicore": MultiCoreModel(4).cost,
+    "gpu": GpuModel(redundancy=6, symmetry_breaking=False).cost,
+    "flexminer": FlexMinerModel().cost,
+    "triejax": TrieJaxModel(num_graph_vertices=512, redundancy=6).cost,
+    "gramer": GramerModel().cost,
+    "outerspace": OuterSpaceModel().cost,
+    "extensor": ExTensorModel().cost,
+    "gamma": GammaModel().cost,
+    "attribute": lambda trace: attribute(trace, workload="t"),
+}
 
-    def test_env_knob_nonsense_falls_back(self, monkeypatch):
-        from repro.resilience.knobs import reset_knob_warnings
 
-        reset_knob_warnings()
-        monkeypatch.setenv("REPRO_RECORD_BACKEND", "sideways")
-        with pytest.warns(RuntimeWarning, match="REPRO_RECORD_BACKEND"):
-            assert normalize_backend(None) == DEFAULT_BACKEND
+@pytest.mark.parametrize("pricer", sorted(_PRICERS))
+def test_live_trace_prices_like_its_frozen_copy(pricer):
+    price = _PRICERS[pricer]
+    live = _mixed_trace()
+    frozen = _mixed_trace().freeze()
+    assert live.num_ops == frozen.num_ops == 30
+    assert repr(price(live)) == repr(price(frozen))

@@ -184,25 +184,21 @@ class TestAnomalyAccounting:
         assert not (cache.root / QUARANTINE_DIR).exists()
 
 
-class TestColumnarQuarantineParity:
-    """Chaos-corrupted cache entries recorded under the columnar
-    backend quarantine exactly like rows-recorded ones: same counters,
-    same quarantine layout, same fault-free recovery on re-run."""
+class TestPipelineQuarantine:
+    """A chaos-corrupted entry written by the run pipeline is caught,
+    quarantined, and transparently re-recorded on the next run."""
 
-    @pytest.mark.parametrize("backend", ["rows", "columnar"])
-    def test_corrupt_write_quarantines_either_backend(self, cache,
-                                                      backend):
+    def test_corrupt_write_is_rerecorded(self, cache):
         from repro.workloads import get_workload, run_workload
         from repro.workloads.pipeline import run_fingerprint
 
         spec = get_workload("triangle")
         key = run_fingerprint(spec, spec.resolve_dataset("citeseer"),
-                              SMALL, backend=backend)
+                              SMALL)
         install(FaultPlan(points=(
             FaultPoint("cache.write", "corrupt", times=99),)))
         try:
-            cold = run_workload(spec, "citeseer", SMALL, cache=cache,
-                                backend=backend)
+            cold = run_workload(spec, "citeseer", SMALL, cache=cache)
         finally:
             uninstall()
         assert not cold.cached
@@ -211,8 +207,7 @@ class TestColumnarQuarantineParity:
 
         # The rotted entry is caught by its checksum, quarantined, and
         # transparently re-recorded; the re-run's metrics match cold.
-        rerun = run_workload(spec, "citeseer", SMALL, cache=cache,
-                             backend=backend)
+        rerun = run_workload(spec, "citeseer", SMALL, cache=cache)
         assert not rerun.cached
         assert resilience_snapshot()[
             "resilience.cache.checksum_mismatch"] == 1
@@ -220,9 +215,8 @@ class TestColumnarQuarantineParity:
         assert json.dumps(rerun.metrics, sort_keys=True, default=str) \
             == json.dumps(cold.metrics, sort_keys=True, default=str)
 
-        # Now intact: the third run is a warm hit under this backend.
-        warm = run_workload(spec, "citeseer", SMALL, cache=cache,
-                            backend=backend)
+        # Now intact: the third run is a warm hit.
+        warm = run_workload(spec, "citeseer", SMALL, cache=cache)
         assert warm.cached
 
 

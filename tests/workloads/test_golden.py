@@ -5,6 +5,16 @@ per-layer code paths; these tests pin the registry-driven pipeline to
 those outputs bit-for-bit.  Both sides go through a JSON round-trip so
 numpy arrays become lists and integer dict keys (the sweep tables)
 become strings, exactly as the goldens were serialized.
+
+The run and profile goldens are pinned under three recorders: ``None``
+leaves :class:`~repro.machine.context.Machine` recording into its own
+:class:`~repro.record.columnar.ColumnarTrace`; ``"rows"`` swaps in the
+per-op reference, which analyses each op on the spot with
+:func:`~repro.streams.runstats.analyze_pair` and keeps it as one row of
+an :class:`~repro.arch.trace.Trace`; ``"columnar"`` swaps in a
+``ColumnarTrace`` that compacts every 64 elements, so a run is analysed
+in hundreds to thousands of batches.  A deviation under any of them is
+a recording bug, not drift.
 """
 
 import json
@@ -13,8 +23,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.arch.trace import Trace
 from repro.obs.profile import ProfileArgs, profile_workload
 from repro.perf.engine import figure_suite_jobs, job_key
+from repro.record.columnar import ColumnarTrace
+from repro.streams.runstats import UNBOUNDED, analyze_pair
 from repro.workloads import get_workload, run_workload
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -40,20 +53,49 @@ def _golden(name):
     return json.loads((DATA / name).read_text())
 
 
-class TestRunMetricsGolden:
-    """The same fixtures pin *both* recording backends: a columnar
-    deviation from the golden metrics is a recording bug, not drift."""
+class _RowsTrace(Trace):
+    """The per-op reference, recording through the deferred-op API."""
 
-    @pytest.mark.parametrize("backend", ["rows", "columnar"])
+    __slots__ = ("_width",)
+
+    def __init__(self, name="trace", *, width):
+        super().__init__(name)
+        self._width = width
+
+    def add_op_keys(self, kind, a_keys, b_keys, bound=UNBOUNDED, **op):
+        self.add_op(
+            kind, analyze_pair(a_keys, b_keys, bound, width=self._width),
+            **op)
+
+
+class _SmallBatchTrace(ColumnarTrace):
+    """The columnar recorder, compacting every 64 operand elements."""
+
+    __slots__ = ()
+
+    def __init__(self, name="trace", *, width):
+        super().__init__(name, width=width, compact_elems=64)
+
+
+_RECORDERS = {"rows": _RowsTrace, "columnar": _SmallBatchTrace}
+
+
+def _use_recorder(monkeypatch, recorder):
+    if recorder is not None:
+        monkeypatch.setattr("repro.machine.context.ColumnarTrace",
+                            _RECORDERS[recorder])
+
+
+class TestRunMetricsGolden:
+    @pytest.mark.parametrize("recorder", [None, "rows", "columnar"])
     @pytest.mark.parametrize("family", ["gpm", "spmspm", "tensor"])
-    def test_metrics_unchanged(self, family, backend):
+    def test_metrics_unchanged(self, family, recorder, monkeypatch):
+        _use_recorder(monkeypatch, recorder)
         entry = _golden("golden_runs.json")[family]
         spec = get_workload(entry["workload"])
         rec = run_workload(spec, entry["dataset"],
-                           entry.get("scale", 1.0), cache=None,
-                           backend=backend)
+                           entry.get("scale", 1.0), cache=None)
         assert _roundtrip(rec.metrics) == entry["metrics"]
-        assert rec.backend == backend
 
 
 class TestSuiteJobsGolden:
@@ -67,27 +109,13 @@ class TestSuiteJobsGolden:
         keys = sorted(job_key(j) for j in figure_suite_jobs(smoke=True))
         assert keys == sorted(golden["smoke"])
 
-    def test_job_keys_and_metrics_backend_independent(self):
-        """Engine job keys carry no backend; metrics agree bit-exactly."""
-        from repro.perf.engine import RunJob, run_jobs
-
-        jobs = [RunJob("gpm", "T", "citeseer", 0.3),
-                RunJob("spmspm", "gustavson", "laser")]
-        by_backend = {
-            backend: run_jobs(jobs, use_disk_cache=False, backend=backend)
-            for backend in ("rows", "columnar")
-        }
-        assert sorted(by_backend["rows"]) == sorted(by_backend["columnar"])
-        assert _roundtrip(by_backend["rows"]) \
-            == _roundtrip(by_backend["columnar"])
-
 
 class TestProfileGolden:
-    @pytest.mark.parametrize("backend", [None, "rows", "columnar"])
-    def test_triangle_profile_unchanged(self, backend):
+    @pytest.mark.parametrize("recorder", [None, "rows", "columnar"])
+    def test_triangle_profile_unchanged(self, recorder, monkeypatch):
+        _use_recorder(monkeypatch, recorder)
         golden = _golden("golden_profile_triangle.json")
-        result = profile_workload("triangle",
-                                  ProfileArgs(scale=0.3, backend=backend))
+        result = profile_workload("triangle", ProfileArgs(scale=0.3))
         payload = result.to_json()
         payload.pop("wall_seconds", None)
         golden.pop("wall_seconds", None)
