@@ -10,7 +10,6 @@ from conftest import write_result
 
 from repro.arch.multicore import MultiCoreModel
 from repro.eval.reporting import render
-from repro.eval.runs import gpm_metrics
 from repro.gpm import run_app
 from repro.graph import load_graph
 

@@ -7,9 +7,12 @@ asserts the qualitative shape the paper reports, and writes the
 rendered rows to ``benchmarks/results/`` so the regenerated tables
 survive the run.
 
-GPM runs are cached process-wide (:mod:`repro.eval.runs`), so figures
-sharing workloads (7, 8, 9/10, 11, 12, 13, 14) pay for each (app,
-graph) pair once per session.
+Figure runners look each run up in the default run cache
+(:func:`repro.perf.cache.default_run_cache`) by its fingerprint, so
+figures sharing workloads (7, 8, 9/10, 11, 12, 13, 14) record each
+(app, graph) pair once and re-price its stored trace afterwards.  With
+``REPRO_RUN_CACHE=0`` nothing persists across processes, but the
+session still records each pair only once.
 """
 
 from __future__ import annotations

@@ -223,13 +223,19 @@ class FrozenTrace:
     def load(cls, path) -> "FrozenTrace":
         """Load a trace saved with :meth:`save`."""
         with np.load(path) as data:
-            scalars = data["scalars"]
-            return cls(
-                name=str(data["name"]),
-                **{field: data[field] for field in _ARRAY_FIELDS},
-                **{field: int(scalars[i])
-                   for i, field in enumerate(_SCALAR_FIELDS)},
-            )
+            return cls.from_npz(data)
+
+    @classmethod
+    def from_npz(cls, data) -> "FrozenTrace":
+        """Build a trace from an open :meth:`save` archive (an
+        ``np.load`` result); extra arrays in it are ignored."""
+        scalars = data["scalars"]
+        return cls(
+            name=str(data["name"]),
+            **{field: data[field] for field in _ARRAY_FIELDS},
+            **{field: int(scalars[i])
+               for i, field in enumerate(_SCALAR_FIELDS)},
+        )
 
 
 @dataclass

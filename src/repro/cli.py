@@ -359,18 +359,18 @@ def _cmd_cache(args) -> int:
     import time
 
     from repro.eval.reporting import render
-    from repro.perf.cache import RunCache, default_run_cache
+    from repro.perf.cache import RunCache, cache_enabled, default_run_cache
     from repro.perf.engine import (
         default_workers,
         figure_suite_jobs,
         run_jobs_report,
     )
 
-    cache = RunCache(args.dir) if args.dir else default_run_cache()
-    if cache is None:
+    if not args.dir and not cache_enabled():
         print("run cache disabled (REPRO_RUN_CACHE=0); "
               "pass --dir to address one explicitly")
         return 2
+    cache = RunCache(args.dir) if args.dir else default_run_cache()
 
     if args.action == "stats":
         stats = cache.stats()

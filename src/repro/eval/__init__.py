@@ -9,18 +9,14 @@ values.
 
 Workload scale is controlled per call (``scale=``); the defaults keep
 the full harness tractable in pure Python while preserving every trend
-the paper reports (see DESIGN.md's substitution notes).
+the paper reports (see DESIGN.md's substitution notes).  Each figure
+looks its runs up in :func:`~repro.perf.cache.default_run_cache` by
+run fingerprint and re-prices the stored trace, so every call returns
+freshly computed metrics and a run shared by several figures is
+recorded once (once per process with ``REPRO_RUN_CACHE=0``).
 """
 
 from repro.eval.reporting import render
-from repro.eval.runs import gpm_run, gpm_metrics, clear_run_cache
 from repro.eval import figures, tables
 
-__all__ = [
-    "render",
-    "gpm_run",
-    "gpm_metrics",
-    "clear_run_cache",
-    "figures",
-    "tables",
-]
+__all__ = ["render", "figures", "tables"]

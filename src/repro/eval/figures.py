@@ -12,17 +12,18 @@ from __future__ import annotations
 import numpy as np
 
 from repro.eval.reporting import gmean
-from repro.eval.runs import (
-    BW_SWEEP,
-    SU_SWEEP,
-    gpm_metrics,
-    spmspm_metrics,
-    tensor_metrics,
-)
 from repro.machine.context import Machine
+from repro.perf.cache import default_run_cache
 from repro.tensor.datasets import MATRIX_FIGURE_ORDER
-from repro.workloads import HEAVY_TRIMS  # noqa: F401 (re-export)
-from repro.workloads import figure_apps, figure_datasets
+from repro.workloads import (
+    BW_SWEEP,
+    HEAVY_TRIMS,
+    SU_SWEEP,
+    figure_apps,
+    figure_datasets,
+    run_workload,
+    workload_for_app,
+)
 
 #: Figure membership lives in the workload registry
 #: (:data:`repro.workloads.FIGURES`); these constants are derived views
@@ -43,9 +44,15 @@ FIG12_APPS = figure_apps("fig12")
 FIG12_GRAPHS = figure_datasets("fig12")
 
 
+def _run(family: str, app: str, dataset: str, scale: float = 1.0) -> dict:
+    """One run's metrics, priced from the default run cache's trace."""
+    return run_workload(workload_for_app(family, app), dataset, scale,
+                        cache=default_run_cache()).metrics
+
+
 def _metrics(app: str, graph: str, scale: float) -> dict:
     trim = HEAVY_TRIMS.get((app, graph), 1.0)
-    return gpm_metrics(app, graph, round(scale * trim, 4))
+    return _run("gpm", app, graph, round(scale * trim, 4))
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +291,7 @@ def fig15_matrix_rows(matrices=tuple(MATRIX_FIGURE_ORDER),
     rows = []
     for code in matrices:
         for dataflow in dataflows:
-            m = spmspm_metrics(code, dataflow)
+            m = _run("spmspm", dataflow, code)
             rows.append({
                 "matrix": code,
                 "dataflow": dataflow,
@@ -299,7 +306,7 @@ def fig15_tensor_rows(tensors=("Ch", "U")) -> list[dict]:
     rows = []
     for code in tensors:
         for kernel in ("ttv", "ttm"):
-            m = tensor_metrics(code, kernel)
+            m = _run("tensor", kernel, code)
             rows.append({"tensor": code, "kernel": kernel.upper(),
                          "speedup": m["speedup_vs_cpu"]})
     return rows
@@ -328,7 +335,7 @@ def fig16_rows(matrices=("C204", "L", "G", "CA", "H")) -> list[dict]:
     for code in matrices:
         cycles: dict[str, float] = {}
         for dataflow in ("inner", "outer", "gustavson"):
-            m = spmspm_metrics(code, dataflow)
+            m = _run("spmspm", dataflow, code)
             cycles[f"sparsecore_{dataflow}"] = m["sc_cycles_1su"]
             cycles[m["accel_name"]] = m["accel_cycles"]
         per_matrix[code] = cycles

@@ -23,7 +23,6 @@ the cache totals, surfaced by ``python -m repro obs report``.
 
 from __future__ import annotations
 
-import tempfile
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -159,8 +158,8 @@ def run_sweep(workloads, axes, *, preset: str = "paper",
     ``field=values`` strings; ``datasets`` optionally maps workload
     name to dataset name (default: each spec's default dataset).
     Phase 1 records the workloads whose trace is missing from the
-    persistent trace cache — a private temporary cache is used when the
-    default cache is disabled — through
+    trace cache at ``cache_dir`` (default:
+    :func:`~repro.perf.cache.default_run_cache`) through
     :func:`repro.perf.engine.run_jobs_report` over ``workers``
     processes.  Phase 2 reads each trace once and prices every grid
     point from it in this process.  Pricing is deterministic, so a
@@ -202,69 +201,58 @@ def run_sweep(workloads, axes, *, preset: str = "paper",
         n_points=len(points),
     )
 
-    tmp = None
     cache = RunCache(cache_dir) if cache_dir is not None \
         else default_run_cache()
-    if cache is None:
-        # The default cache is disabled: dedup within this sweep still
-        # pays (N points re-price one recording), so use a private
-        # throwaway cache for the sweep's duration.
-        tmp = tempfile.TemporaryDirectory(prefix="repro-explore-")
-        cache = RunCache(tmp.name)
-    try:
-        # Phase 1 — record, through the engine, only what the cache
-        # lacks (the trace cache key is config-free, so one recording
-        # serves every point).
-        missing = {job_key(job): job for spec, dspec, job in specs
-                   if run_fingerprint(spec, dspec, job.scale) not in cache}
-        recorded = run_jobs_report(list(missing.values()), workers=workers,
-                                   cache_dir=cache.root)
-        report.failures.extend(asdict(f) for f in recorded.failures)
-        unrecorded = {failure.key for failure in recorded.failures}
-        misses = len(missing) - len(unrecorded)
+    # Phase 1 — record, through the engine, only what the cache lacks
+    # (the trace cache key is config-free, so one recording serves
+    # every point).
+    missing = {job_key(job): job for spec, dspec, job in specs
+               if run_fingerprint(spec, dspec, job.scale) not in cache}
+    recorded = run_jobs_report(list(missing.values()), workers=workers,
+                               cache_dir=cache.root)
+    report.failures.extend(asdict(f) for f in recorded.failures)
+    unrecorded = {failure.key for failure in recorded.failures}
+    misses = len(missing) - len(unrecorded)
 
-        # Phase 2 — for each trace, price its points in this process.
-        for spec, dspec, job in specs:
-            key = job_key(job)
-            sweep = WorkloadSweep(workload=spec.name, dataset=dspec.key,
-                                  scale=job.scale)
-            report.workloads.append(sweep)
-            if key in unrecorded:
-                continue
+    # Phase 2 — for each trace, price its points in this process.
+    for spec, dspec, job in specs:
+        key = job_key(job)
+        sweep = WorkloadSweep(workload=spec.name, dataset=dspec.key,
+                              scale=job.scale)
+        report.workloads.append(sweep)
+        if key in unrecorded:
+            continue
+        try:
+            run = run_workload(spec, dspec.key, job.scale, cache=cache,
+                               price=False)
+        except Exception as exc:
+            report.failures.append(_failure(key, exc))
+            continue
+        misses += not run.cached
+        for point, fp, area in facts:
+            t0 = time.perf_counter()
             try:
-                run = run_workload(spec, dspec.key, job.scale, cache=cache,
-                                   price=False)
+                metrics = price_run(spec, dspec.key, run.trace,
+                                    lengths=run.lengths, meta=run.meta,
+                                    configs=point.config)
             except Exception as exc:
-                report.failures.append(_failure(key, exc))
+                report.failures.append(
+                    _failure(f"{key} [{point.label}]", exc))
                 continue
-            misses += not run.cached
-            for point, fp, area in facts:
-                t0 = time.perf_counter()
-                try:
-                    metrics = price_run(spec, dspec.key, run.trace,
-                                        lengths=run.lengths, meta=run.meta,
-                                        configs=point.config)
-                except Exception as exc:
-                    report.failures.append(
-                        _failure(f"{key} [{point.label}]", exc))
-                    continue
-                wall = time.perf_counter() - t0
-                sweep.rows.append({
-                    "point": point.index,
-                    "values": [list(v) for v in point.values],
-                    "config_fingerprint": fp,
-                    "area_mm2": area,
-                    "sc_cycles": metrics["sc_cycles"],
-                    "cpu_cycles": metrics["cpu_cycles"],
-                    "speedup_vs_cpu": metrics["speedup_vs_cpu"],
-                    "wall_seconds": round(wall, 6),
-                })
-                led.span_of("explore.point", wall, workload=spec.name,
-                            dataset=dspec.key, point=point.index,
-                            axis=point.label, cfg=fp)
-    finally:
-        if tmp is not None:
-            tmp.cleanup()
+            wall = time.perf_counter() - t0
+            sweep.rows.append({
+                "point": point.index,
+                "values": [list(v) for v in point.values],
+                "config_fingerprint": fp,
+                "area_mm2": area,
+                "sc_cycles": metrics["sc_cycles"],
+                "cpu_cycles": metrics["cpu_cycles"],
+                "speedup_vs_cpu": metrics["speedup_vs_cpu"],
+                "wall_seconds": round(wall, 6),
+            })
+            led.span_of("explore.point", wall, workload=spec.name,
+                        dataset=dspec.key, point=point.index,
+                        axis=point.label, cfg=fp)
 
     for sweep in report.workloads:
         flags = pareto_flags(sweep.rows, "area_mm2", "sc_cycles")
@@ -282,7 +270,7 @@ def run_sweep(workloads, axes, *, preset: str = "paper",
         "misses": misses,
         "hit_rate": round((lookups - misses) / lookups, 4) if lookups
         else None,
-        "root": str(cache.root) if tmp is None else "(temporary)",
+        "root": str(cache.root),
     }
     report.wall_seconds = time.perf_counter() - start
     led.span("explore.sweep", sweep_t0, preset=preset,

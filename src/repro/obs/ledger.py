@@ -269,8 +269,8 @@ def read_ledger(root: str | Path) -> LedgerScan:
 # -- aggregation -------------------------------------------------------------
 
 #: Stage spans the pipeline and cache emit (reported with percentiles).
-STAGE_EVENTS = ("dataset.resolve", "record", "freeze", "cache.read",
-                "cache.write", "price")
+STAGE_EVENTS = ("dataset.resolve", "dataset.load", "record", "freeze",
+                "cache.read", "cache.write", "price")
 
 #: Engine lifecycle instants counted by the report.
 ENGINE_EVENTS = ("job.submit", "job.retry", "job.timeout", "job.crash",

@@ -10,13 +10,11 @@ observability counters back deterministically.
 from repro.perf.cache import (
     CACHE_FORMAT_VERSION,
     CachedRun,
-    LRUCache,
     RunCache,
     cache_enabled,
     default_cache_dir,
     default_run_cache,
     fingerprint,
-    mem_cache_capacity,
     reset_default_run_cache,
 )
 from repro.perf.engine import (
@@ -36,7 +34,6 @@ __all__ = [
     "EngineReport",
     "JobFailure",
     "JobResult",
-    "LRUCache",
     "RunCache",
     "RunJob",
     "cache_enabled",
@@ -45,7 +42,6 @@ __all__ = [
     "figure_suite_jobs",
     "fingerprint",
     "job_key",
-    "mem_cache_capacity",
     "reset_default_run_cache",
     "run_jobs",
     "run_jobs_report",

@@ -30,14 +30,21 @@ Writes are atomic (temp file + ``os.replace``), so concurrent writers
 racing on one key last-write-win with bytes-identical content, and a
 reader never observes a half-written entry.
 
-The cache root comes from ``$REPRO_CACHE_DIR`` (default
-``~/.cache/repro-sparsecore/runs``, ``$XDG_CACHE_HOME``-aware); setting
-``REPRO_RUN_CACHE=0`` disables the default cache entirely.  Manage it
-with ``python -m repro cache {stats,prewarm,fsck,clear}``.
+This is the only run cache: every caller (figures, engine jobs,
+sweeps, the CLI) looks a run up by its
+:func:`~repro.workloads.run_fingerprint` and re-prices the trace it
+reads, so each lookup returns freshly computed metrics.  The cache
+root comes from ``$REPRO_CACHE_DIR`` (default
+``~/.cache/repro-sparsecore/runs``, ``$XDG_CACHE_HOME``-aware).
+``REPRO_RUN_CACHE=0`` means nothing persists across processes: the
+default cache is then a process-private temporary directory, removed
+at exit.  Manage the persistent cache with
+``python -m repro cache {stats,prewarm,fsck,clear}``.
 """
 
 from __future__ import annotations
 
+import atexit
 import hashlib
 import io
 import json
@@ -45,15 +52,13 @@ import os
 import shutil
 import tempfile
 import zipfile
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from repro.arch.trace import _ARRAY_FIELDS, _SCALAR_FIELDS, FrozenTrace
+from repro.arch.trace import FrozenTrace
 from repro.resilience.faults import InjectedOSError, corrupt_bytes, inject
-from repro.resilience.knobs import env_int
 from repro.resilience.metrics import RES_COUNTERS
 
 #: Bump whenever the trace layout, recording semantics, or key schema
@@ -78,61 +83,10 @@ QUARANTINE_DIR = "quarantine"
 
 _ENV_DIR = "REPRO_CACHE_DIR"
 _ENV_ENABLE = "REPRO_RUN_CACHE"
-_ENV_MEM_ENTRIES = "REPRO_RUN_CACHE_ENTRIES"
-
-#: Default bound of the in-memory metrics LRU (:class:`LRUCache`).
-DEFAULT_MEM_ENTRIES = 256
 
 #: Exceptions that mean "this payload is not a valid trace archive".
 _DECODE_ERRORS = (KeyError, ValueError, OSError, EOFError,
                   zipfile.BadZipFile)
-
-
-class LRUCache:
-    """A small bounded LRU mapping (the in-memory metrics cache).
-
-    ``capacity <= 0`` means unbounded (the pre-PR behaviour, kept for
-    explicit opt-in); lookups refresh recency.
-    """
-
-    def __init__(self, capacity: int = DEFAULT_MEM_ENTRIES):
-        self.capacity = int(capacity)
-        self._data: OrderedDict = OrderedDict()
-
-    def get(self, key, default=None):
-        try:
-            self._data.move_to_end(key)
-        except KeyError:
-            return default
-        return self._data[key]
-
-    def put(self, key, value) -> None:
-        self._data[key] = value
-        self._data.move_to_end(key)
-        if self.capacity > 0:
-            while len(self._data) > self.capacity:
-                self._data.popitem(last=False)
-
-    def clear(self) -> None:
-        self._data.clear()
-
-    def __contains__(self, key) -> bool:
-        return key in self._data
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-    def __repr__(self) -> str:
-        return f"LRUCache({len(self._data)}/{self.capacity})"
-
-
-def mem_cache_capacity() -> int:
-    """Entry cap of the in-memory metrics LRU (env-configurable).
-
-    Validated centrally: non-numeric or negative values warn once and
-    fall back to :data:`DEFAULT_MEM_ENTRIES` (0 means unbounded).
-    """
-    return env_int(_ENV_MEM_ENTRIES, DEFAULT_MEM_ENTRIES, minimum=0)
 
 
 def fingerprint(kind: str, params: dict,
@@ -307,13 +261,7 @@ class RunCache:
             return None, "quarantined"
         try:
             with np.load(io.BytesIO(payload)) as data:
-                scalars = data["scalars"]
-                trace = FrozenTrace(
-                    name=str(data["name"]),
-                    **{f: data[f] for f in _ARRAY_FIELDS},
-                    **{f: int(scalars[i])
-                       for i, f in enumerate(_SCALAR_FIELDS)},
-                )
+                trace = FrozenTrace.from_npz(data)
                 lengths = (np.asarray(data["lengths"], dtype=np.int64)
                            if "lengths" in data.files
                            else np.empty(0, dtype=np.int64))
@@ -554,28 +502,40 @@ class RunCache:
 
 
 _DEFAULT_CACHE: RunCache | None = None
-_DEFAULT_CACHE_READY = False
+#: backing directory of a disabled-by-env default cache
+_PRIVATE_DIR: tempfile.TemporaryDirectory | None = None
 
 
-def default_run_cache() -> RunCache | None:
-    """Process-wide default cache (``None`` when disabled by env)."""
-    global _DEFAULT_CACHE, _DEFAULT_CACHE_READY
-    if not _DEFAULT_CACHE_READY:
-        _DEFAULT_CACHE = RunCache() if cache_enabled() else None
-        _DEFAULT_CACHE_READY = True
+def default_run_cache() -> RunCache:
+    """Process-wide default cache.
+
+    With ``REPRO_RUN_CACHE=0`` it lives in a process-private temporary
+    directory that :func:`reset_default_run_cache` and interpreter exit
+    remove: each run still records once per process, but nothing
+    persists across processes.
+    """
+    global _DEFAULT_CACHE, _PRIVATE_DIR
+    if _DEFAULT_CACHE is None:
+        if cache_enabled():
+            _DEFAULT_CACHE = RunCache()
+        else:
+            _PRIVATE_DIR = tempfile.TemporaryDirectory(prefix="repro-runs-")
+            atexit.register(_PRIVATE_DIR.cleanup)
+            _DEFAULT_CACHE = RunCache(_PRIVATE_DIR.name)
     return _DEFAULT_CACHE
 
 
 def reset_default_run_cache() -> None:
-    """Forget the cached default (tests / env changes)."""
-    global _DEFAULT_CACHE, _DEFAULT_CACHE_READY
-    _DEFAULT_CACHE = None
-    _DEFAULT_CACHE_READY = False
+    """Forget the default cache, deleting a private one (tests / env
+    changes)."""
+    global _DEFAULT_CACHE, _PRIVATE_DIR
+    if _PRIVATE_DIR is not None:
+        _PRIVATE_DIR.cleanup()
+    _DEFAULT_CACHE = _PRIVATE_DIR = None
 
 
 __all__ = [
-    "CACHE_FORMAT_VERSION", "CacheScan", "CachedRun", "LRUCache",
-    "QUARANTINE_DIR", "RunCache", "cache_enabled", "default_cache_dir",
-    "default_run_cache", "fingerprint", "mem_cache_capacity",
-    "reset_default_run_cache",
+    "CACHE_FORMAT_VERSION", "CacheScan", "CachedRun", "QUARANTINE_DIR",
+    "RunCache", "cache_enabled", "default_cache_dir", "default_run_cache",
+    "fingerprint", "reset_default_run_cache",
 ]

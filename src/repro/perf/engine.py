@@ -190,16 +190,16 @@ class EngineReport:
 def _execute_job(payload) -> tuple[str, dict, dict | None, dict, float]:
     """Top-level (picklable) worker: run one job, return its metrics.
 
-    ``payload`` is ``(job, cache_root, use_disk_cache, collect_counters,
-    attempt)`` — primitives only, so the same function serves
-    the inline serial path and pool workers.  Returns the job key, its
-    metrics, the optional workload-counter snapshot, the delta of
-    resilience counters this job produced (merged parent-side), and the
-    attempt's wall-clock seconds.
+    ``payload`` is ``(job, cache_root, collect_counters, attempt)`` —
+    primitives only, so the same function serves the inline serial path
+    and pool workers.  Returns the job key, its metrics, the optional
+    workload-counter snapshot, the delta of resilience counters this
+    job produced (merged parent-side), and the attempt's wall-clock
+    seconds.
     """
-    job, cache_root, use_disk_cache, collect_counters, attempt = payload
+    job, cache_root, collect_counters, attempt = payload
     from repro.obs.probe import Probe
-    from repro.perf.cache import RunCache, default_run_cache
+    from repro.perf.cache import RunCache
     from repro.workloads import run_workload, workload_for_app
 
     key = job_key(job)
@@ -209,12 +209,7 @@ def _execute_job(payload) -> tuple[str, dict, dict | None, dict, float]:
     try:
         faults.inject("worker.exec", key)
 
-        if not use_disk_cache:
-            cache = None
-        elif cache_root is not None:
-            cache = RunCache(cache_root)
-        else:
-            cache = default_run_cache()
+        cache = RunCache(cache_root)
         probe = Probe(counters=Counters()) if collect_counters else None
 
         spec = workload_for_app(job.kind, job.app)
@@ -248,18 +243,20 @@ def _kill_pool(pool: ProcessPoolExecutor) -> None:
 
 def run_jobs_report(jobs, *, workers: int = 1, cache_dir=None,
                     counters: Counters | None = None,
-                    use_disk_cache: bool = True,
                     timeout: float | None = None,
                     retries: int | None = None,
                     backoff: float | None = None) -> EngineReport:
     """Execute ``jobs`` with retries/timeouts/fallbacks; full report.
 
-    Duplicate jobs (same key) run once.  ``timeout``/``retries``/
-    ``backoff`` default to their env knobs.  When ``counters`` is
-    given, the snapshot of each job's *successful* attempt is merged
-    into it in job-list order, so totals match a serial instrumented
-    run exactly — retries never double-count.  No exception from a job
-    escapes this function; failures land in ``report.failures``.
+    Duplicate jobs (same key) run once.  Every job opens the run cache
+    at ``cache_dir`` (default: the root of this process's
+    :func:`~repro.perf.cache.default_run_cache`).  ``timeout``/
+    ``retries``/``backoff`` default to their env knobs.  When
+    ``counters`` is given, the snapshot of each job's *successful*
+    attempt is merged into it in job-list order, so totals match a
+    serial instrumented run exactly — retries never double-count.  No
+    exception from a job escapes this function; failures land in
+    ``report.failures``.
     """
     unique: dict[str, RunJob] = {}
     for job in jobs:
@@ -275,7 +272,11 @@ def run_jobs_report(jobs, *, workers: int = 1, cache_dir=None,
     led = clock()
     engine_t0 = led.start()
     res_before = RES_COUNTERS.flat() if led.enabled else {}
-    cache_root = os.fspath(cache_dir) if cache_dir is not None else None
+    if cache_dir is None:
+        from repro.perf.cache import default_run_cache
+
+        cache_dir = default_run_cache().root
+    cache_root = os.fspath(cache_dir)
     collect = counters is not None
     retries = default_retries() if retries is None else max(0, int(retries))
     timeout = default_timeout() if timeout is None \
@@ -283,7 +284,7 @@ def run_jobs_report(jobs, *, workers: int = 1, cache_dir=None,
     backoff = default_backoff() if backoff is None else max(0.0, float(backoff))
 
     def payload_for(i: int, attempt: int):
-        return (ordered[i], cache_root, use_disk_cache, collect, attempt)
+        return (ordered[i], cache_root, collect, attempt)
 
     attempts = [0] * n  # failed attempts charged so far, per job
     inline = [False] * n
@@ -487,7 +488,6 @@ def run_jobs_report(jobs, *, workers: int = 1, cache_dir=None,
 
 def run_jobs(jobs, *, workers: int = 1, cache_dir=None,
              counters: Counters | None = None,
-             use_disk_cache: bool = True,
              timeout: float | None = None,
              retries: int | None = None,
              backoff: float | None = None,
@@ -501,10 +501,8 @@ def run_jobs(jobs, *, workers: int = 1, cache_dir=None,
     :func:`run_jobs_report` for the structured per-job records.
     """
     report = run_jobs_report(jobs, workers=workers, cache_dir=cache_dir,
-                             counters=counters,
-                             use_disk_cache=use_disk_cache,
-                             timeout=timeout, retries=retries,
-                             backoff=backoff)
+                             counters=counters, timeout=timeout,
+                             retries=retries, backoff=backoff)
     if report.failures:
         summary = "; ".join(f"{f.key}: {f.error}: {f.message}"
                             for f in report.failures[:5])

@@ -12,8 +12,6 @@ Knobs validated through this module:
 ========================== ======= ===============================
 variable                   default meaning
 ========================== ======= ===============================
-``REPRO_RUN_CACHE_ENTRIES``   256  in-memory metrics LRU capacity
-                                   (0 = unbounded)
 ``REPRO_WORKERS``               1  default engine worker count
 ``REPRO_JOB_RETRIES``           2  pool retries before inline fallback
 ``REPRO_JOB_TIMEOUT``           0  per-job seconds (0 = no timeout)

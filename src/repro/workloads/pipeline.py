@@ -3,19 +3,18 @@
 :func:`run_workload` is the one execution path every layer shares:
 
 1. **resolve** the dataset name in the spec's registry,
-2. **record** the workload on a fresh recording
-   :class:`~repro.machine.context.Machine` (or load the recorded trace
-   from the persistent :class:`~repro.perf.cache.RunCache` — the
+2. **load** the dataset and **record** the workload on a fresh
+   recording :class:`~repro.machine.context.Machine` (or read the
+   recorded trace from the :class:`~repro.perf.cache.RunCache` — the
    fingerprint is derived from the spec and the dataset's *generator
    parameters*, so rescaling or reseeding a stand-in changes the key),
 3. **freeze** the trace,
 4. **price** it under the CPU and SparseCore models
    (:mod:`repro.workloads.pricing`) into the family's metrics dict.
 
-The eval layer's ``compute_*_metrics`` functions, the parallel
-engine's job worker, the profiler, and the CLI ``run``/``spmspm``
-commands are all thin wrappers over this function, so their outputs
-cannot drift apart.
+The figure runners, the parallel engine's job worker, the profiler,
+and the CLI ``run``/``spmspm`` commands all call this function, so
+their outputs cannot drift apart.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from repro.workloads.spec import WorkloadSpec
 
 
 def _config_fp(config) -> str:
-    """Ledger/memo tag of the pricing config (``default`` = paper)."""
+    """Ledger tag of the pricing config (``default`` = paper)."""
     return "default" if config is None else config.fingerprint()
 
 
@@ -96,31 +95,40 @@ class RunResult:
     cached: bool = False
 
 
-def _record_gpm(spec, dspec, scale, machine):
-    from repro.gpm.apps import run_app
-    from repro.graph.datasets import load_graph
+def _load_dataset(spec, dspec, scale):
+    """Generate one run's dataset (the loaders memoise their results)."""
+    if spec.dataset_kind == "graph":
+        from repro.graph.datasets import load_graph
 
-    graph = load_graph(dspec.key, scale, num_labels=spec.num_labels)
+        return load_graph(dspec.key, scale, num_labels=spec.num_labels)
+    if spec.dataset_kind == "matrix":
+        from repro.tensor.datasets import load_matrix
+
+        return load_matrix(dspec.key)
+    from repro.tensor.datasets import load_tensor
+
+    return load_tensor(dspec.key)
+
+
+def _record_gpm(spec, graph, machine):
+    from repro.gpm.apps import run_app
+
     run = run_app(spec.app, graph, machine)
     meta = {"count": run.count, "num_vertices": graph.num_vertices}
     return meta, {"graph": str(graph), "count": run.count}
 
 
-def _record_spmspm(spec, dspec, scale, machine):
-    from repro.tensor.datasets import load_matrix
+def _record_spmspm(spec, mat, machine):
     from repro.tensorops.taco import compile_expression
 
-    mat = load_matrix(dspec.key)
     kernel = compile_expression("C(i,j) = A(i,k) * B(k,j)", spec.app)
     result = kernel.run(mat, mat, machine)
     return {}, {"matrix": str(mat), "C": str(result)}
 
 
-def _record_tensor(spec, dspec, scale, machine):
-    from repro.tensor.datasets import load_tensor
+def _record_tensor(spec, tensor, machine):
     from repro.tensorops.taco import compile_expression
 
-    tensor = load_tensor(dspec.key)
     vec, mat_b = tensor_operands(tensor)
     if spec.app == "ttv":
         result = compile_expression("Z(i,j) = A(i,j,k) * B(k)").run(
@@ -153,7 +161,8 @@ def run_workload(workload: str | WorkloadSpec, dataset: str | None = None,
     recording is config-independent, so one cached trace re-prices
     under any number of design points — which is what makes
     :mod:`repro.explore` sweeps cheap.  The config fingerprint is part
-    of every *priced-result* identity instead (memo keys, sweep rows).
+    of every *priced-result* identity instead (ledger spans, sweep
+    rows).
     """
     from repro.obs.spans import clock
     from repro.resilience.faults import inject
@@ -185,12 +194,16 @@ def run_workload(workload: str | WorkloadSpec, dataset: str | None = None,
                              config=config, meta=dict(hit.meta),
                              lengths=hit.lengths, cached=True)
 
+    t0 = led.start()
+    data = _load_dataset(spec, dspec, scale)
+    led.span("dataset.load", t0, workload=spec.name, dataset=dspec.key)
+
     from repro.machine.context import Machine
 
     machine = Machine(name=f"{spec.name}:{dspec.key}",
                       record_lengths=spec.family == "gpm", probe=probe)
     t0 = led.start()
-    meta, summary = _RECORDERS[spec.family](spec, dspec, scale, machine)
+    meta, summary = _RECORDERS[spec.family](spec, data, machine)
     led.span("record", t0, workload=spec.name, dataset=dspec.key, fp=key)
     t0 = led.start()
     trace = machine.trace.freeze()

@@ -3,17 +3,21 @@
 import numpy as np
 import pytest
 
-from repro.eval import clear_run_cache, figures, gpm_metrics, render, tables
+from repro.eval import figures, render, tables
 from repro.eval.reporting import gmean
+from repro.perf.cache import default_run_cache
 
 SMALL = 0.12  # tiny stand-ins: harness mechanics, not paper numbers
+
+#: the figure path: one GPM run's metrics from the default run cache
+gpm_metrics = figures._metrics
 
 
 @pytest.fixture(autouse=True, scope="module")
 def _fresh_cache():
-    clear_run_cache()
+    default_run_cache().clear()
     yield
-    clear_run_cache()
+    default_run_cache().clear()
 
 
 class TestRunCache:
@@ -24,10 +28,17 @@ class TestRunCache:
                     "flexminer_cycles", "gpu_cycles_breaking"):
             assert key in m
 
-    def test_cached_identity(self):
+    def test_lookups_return_separate_results(self):
         a = gpm_metrics("T", "C", SMALL)
         b = gpm_metrics("T", "C", SMALL)
-        assert a is b
+        np.testing.assert_equal(a, b)
+        assert a is not b
+        count, lengths = b["count"], b["stream_lengths"].copy()
+        assert lengths.size > 0
+        a["count"] += 1
+        a["stream_lengths"] += 1
+        assert b["count"] == count
+        np.testing.assert_array_equal(b["stream_lengths"], lengths)
 
     def test_triejax_none_for_vertex_induced(self):
         m = gpm_metrics("TC", "C", SMALL)

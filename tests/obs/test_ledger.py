@@ -323,3 +323,34 @@ class TestKnobWarningEvents:
             reset_default_ledger()
             reset_knob_warnings()
             reset_resilience()
+
+
+class TestPipelineSpans:
+    def _events(self, led_dir, monkeypatch, run):
+        monkeypatch.setenv(ENV_DIR, str(led_dir))
+        reset_default_ledger()
+        try:
+            run()
+            default_ledger().close()
+        finally:
+            monkeypatch.delenv(ENV_DIR)
+            reset_default_ledger()
+        return [e["ev"] for e in read_ledger(led_dir).events]
+
+    def test_dataset_load_span_on_cold_runs_only(self, tmp_path,
+                                                 monkeypatch):
+        from repro.perf.cache import RunCache
+        from repro.workloads import run_workload
+
+        cache = RunCache(tmp_path / "cache")
+
+        def run():
+            run_workload("triangle", "C", 0.12, cache=cache)
+
+        cold = self._events(tmp_path / "cold", monkeypatch, run)
+        warm = self._events(tmp_path / "warm", monkeypatch, run)
+        assert cold.count("dataset.load") == 1
+        assert cold.index("dataset.resolve") < cold.index("dataset.load") \
+            < cold.index("record")
+        assert "dataset.load" not in warm and "record" not in warm
+        assert "dataset.resolve" in warm

@@ -1,4 +1,4 @@
-"""Persistent run cache: round-trips, keys, LRU bounding, corruption."""
+"""Run cache: round-trips, keys, the default cache, corruption."""
 
 import json
 
@@ -6,18 +6,17 @@ import numpy as np
 import pytest
 
 from repro.arch.trace import FrozenTrace
-from repro.eval import runs
+from repro.eval.figures import _metrics
 from repro.gpm.apps import run_app
 from repro.graph.datasets import load_graph
 from repro.perf.cache import (
     CACHE_FORMAT_VERSION,
-    LRUCache,
     RunCache,
     default_run_cache,
     fingerprint,
-    mem_cache_capacity,
     reset_default_run_cache,
 )
+from repro.workloads import run_workload, workload_for_app
 
 SMALL = 0.12
 
@@ -25,6 +24,11 @@ SMALL = 0.12
 @pytest.fixture
 def cache(tmp_path):
     return RunCache(tmp_path / "runs")
+
+
+def _gpm_metrics(cache) -> dict:
+    return run_workload(workload_for_app("gpm", "T"), "C", SMALL,
+                        cache=cache).metrics
 
 
 def _record_trace() -> FrozenTrace:
@@ -158,37 +162,6 @@ class TestFormatVersionReporting:
         assert cache.get(current) is not None
 
 
-class TestLRU:
-    def test_bounded_eviction(self):
-        lru = LRUCache(capacity=2)
-        lru.put("a", 1)
-        lru.put("b", 2)
-        lru.put("c", 3)
-        assert "a" not in lru
-        assert lru.get("b") == 2 and lru.get("c") == 3
-        assert len(lru) == 2
-
-    def test_get_refreshes_recency(self):
-        lru = LRUCache(capacity=2)
-        lru.put("a", 1)
-        lru.put("b", 2)
-        lru.get("a")
-        lru.put("c", 3)
-        assert "a" in lru and "b" not in lru
-
-    def test_unbounded_when_nonpositive(self):
-        lru = LRUCache(capacity=0)
-        for i in range(500):
-            lru.put(i, i)
-        assert len(lru) == 500
-
-    def test_capacity_from_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_RUN_CACHE_ENTRIES", "17")
-        assert mem_cache_capacity() == 17
-        monkeypatch.setenv("REPRO_RUN_CACHE_ENTRIES", "junk")
-        assert mem_cache_capacity() == 256
-
-
 class TestDefaultCache:
     def test_env_dir_respected(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "alt"))
@@ -198,35 +171,83 @@ class TestDefaultCache:
         finally:
             reset_default_run_cache()
 
-    def test_disable_via_env(self, monkeypatch):
+    def test_disable_via_env(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "persist"))
         monkeypatch.setenv("REPRO_RUN_CACHE", "0")
         reset_default_run_cache()
         try:
-            assert default_run_cache() is None
+            root = default_run_cache().root
+            assert root.is_dir()
+            assert (tmp_path / "persist") not in (root, *root.parents)
+            assert default_run_cache().root == root
+        finally:
+            reset_default_run_cache()
+        assert not root.exists()
+
+    def test_disabled_cache_records_once(self, tmp_path, monkeypatch):
+        from repro.workloads import pipeline
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "persist"))
+        monkeypatch.setenv("REPRO_RUN_CACHE", "0")
+        reset_default_run_cache()
+        try:
+            cold = _metrics("T", "C", SMALL)
+
+            def boom(*a, **k):
+                raise AssertionError("re-recorded despite a cache hit")
+
+            monkeypatch.setitem(pipeline._RECORDERS, "gpm", boom)
+            warm = _metrics("T", "C", SMALL)
+            assert _canon(warm) == _canon(cold)
+            assert not (tmp_path / "persist").exists()
+        finally:
+            reset_default_run_cache()
+
+    def test_disabled_cache_serves_engine_workers(self, monkeypatch):
+        from repro.perf.engine import RunJob, run_jobs
+
+        monkeypatch.setenv("REPRO_RUN_CACHE", "0")
+        reset_default_run_cache()
+        try:
+            jobs = [RunJob("gpm", "T", "C", SMALL),
+                    RunJob("gpm", "TC", "C", SMALL)]
+            run_jobs(jobs, workers=2, strict=True)
+            assert default_run_cache().stats()["entries"] == len(jobs)
+        finally:
+            reset_default_run_cache()
+
+    def test_disabled_cache_stats_exits_2(self, monkeypatch, capsys):
+        from repro.cli import main
+
+        monkeypatch.setenv("REPRO_RUN_CACHE", "0")
+        reset_default_run_cache()
+        try:
+            assert main(["cache", "stats"]) == 2
+            assert "run cache disabled" in capsys.readouterr().out
         finally:
             reset_default_run_cache()
 
 
 class TestWarmMetricsIdentity:
     def test_gpm_cold_vs_warm_bit_identical(self, cache):
-        cold = runs.compute_gpm_metrics("T", "C", SMALL, cache=cache)
-        warm = runs.compute_gpm_metrics("T", "C", SMALL, cache=cache)
+        cold = _gpm_metrics(cache)
+        warm = _gpm_metrics(cache)
         assert _canon(cold) == _canon(warm)
 
     def test_warm_path_actually_hits(self, cache, monkeypatch):
         from repro.workloads import pipeline
 
-        runs.compute_gpm_metrics("T", "C", SMALL, cache=cache)
+        _gpm_metrics(cache)
 
         def boom(*a, **k):
             raise AssertionError("re-recorded despite a cache hit")
 
         monkeypatch.setitem(pipeline._RECORDERS, "gpm", boom)
-        warm = runs.compute_gpm_metrics("T", "C", SMALL, cache=cache)
+        warm = _gpm_metrics(cache)
         assert warm["count"] > 0
 
     def test_stale_format_version_re_records(self, cache):
-        from repro.workloads import get_workload, run_workload
+        from repro.workloads import get_workload
 
         spec = get_workload("triangle")
         cold = run_workload(spec, "C", SMALL, cache=cache)
@@ -247,16 +268,14 @@ class TestWarmMetricsIdentity:
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "d"))
         reset_default_run_cache()
         try:
-            runs.clear_run_cache()
-            runs.gpm_metrics("T", "C", SMALL)
+            _metrics("T", "C", SMALL)
             assert default_run_cache().stats()["entries"] == 1
-            runs.clear_run_cache()
+            default_run_cache().clear()
             assert default_run_cache().stats()["entries"] == 0
-            a = runs.gpm_metrics("T", "C", SMALL)
-            assert runs.gpm_metrics("T", "C", SMALL) is a
+            _metrics("T", "C", SMALL)  # records again after the clear
+            assert default_run_cache().stats()["entries"] == 1
         finally:
             reset_default_run_cache()
-            runs.clear_run_cache(disk=False)
 
 
 def _canon(x):

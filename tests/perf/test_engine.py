@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.eval.runs import _APP_PATTERNS
 from repro.obs.counters import Counters
 from repro.perf.cache import RunCache
 from repro.perf.engine import RunJob, figure_suite_jobs, job_key, run_jobs
+from repro.workloads.pricing import _APP_PATTERNS
 
 SMALL = 0.1
 
@@ -64,14 +64,6 @@ class TestBitIdentity:
         warm = run_jobs(jobs, workers=1, cache_dir=tmp_path / "c")
         assert _canon(cold) == _canon(warm)
         assert RunCache(tmp_path / "c").stats()["entries"] == len(jobs)
-
-    def test_no_disk_cache_mode(self, tmp_path):
-        jobs = [RunJob("gpm", "T", "C", SMALL)]
-        a = run_jobs(jobs, workers=1, cache_dir=tmp_path / "x",
-                     use_disk_cache=False)
-        b = run_jobs(jobs, workers=1, cache_dir=tmp_path / "x")
-        assert _canon(a) == _canon(b)
-        assert RunCache(tmp_path / "x").stats()["entries"] == 1
 
 
 class TestCounterMerge:

@@ -2,8 +2,11 @@
 
 Every test asserts the same core contract: whatever the fault plan
 does, surviving results are **bit-identical** to a fault-free run and
-no exception escapes the engine.
+no exception escapes the engine.  Each run gets a fresh cache
+directory, so every job records.
 """
+
+import tempfile
 
 import numpy as np
 import pytest
@@ -26,9 +29,10 @@ def jobs():
 
 
 @pytest.fixture(scope="module")
-def baseline(jobs):
-    """Fault-free reference results (serial, no disk cache)."""
-    report = run_jobs_report(jobs, workers=1, use_disk_cache=False)
+def baseline(jobs, tmp_path_factory):
+    """Fault-free reference results (serial, cold cache)."""
+    report = run_jobs_report(jobs, workers=1,
+                             cache_dir=tmp_path_factory.mktemp("baseline"))
     assert report.ok and report.retries == 0
     return _canon(report.results)
 
@@ -44,14 +48,15 @@ def _canon(x):
 def _run_with_plan(jobs, plan, **kw):
     install(plan)
     try:
-        return run_jobs_report(jobs, use_disk_cache=False, **kw)
+        with tempfile.TemporaryDirectory() as root:
+            return run_jobs_report(jobs, cache_dir=root, **kw)
     finally:
         uninstall()
 
 
 class TestFaultFree:
-    def test_parallel_report_is_clean(self, jobs, baseline):
-        report = run_jobs_report(jobs, workers=2, use_disk_cache=False)
+    def test_parallel_report_is_clean(self, jobs, baseline, tmp_path):
+        report = run_jobs_report(jobs, workers=2, cache_dir=tmp_path)
         assert report.ok
         assert report.retries == 0 and report.crashes == 0
         assert report.pool_rebuilds == 0 and report.inline_fallbacks == 0
@@ -129,7 +134,7 @@ class TestCrashes:
 
 class TestDegradation:
     def test_permanent_failure_yields_partial_results(self, jobs,
-                                                      baseline):
+                                                      baseline, tmp_path):
         doomed = job_key(jobs[0])
         plan = FaultPlan(points=(
             FaultPoint("worker.exec", "oserror", match=doomed,
@@ -137,7 +142,7 @@ class TestDegradation:
         install(plan)
         try:
             report = run_jobs_report(jobs, workers=1, retries=1,
-                                     backoff=0.0, use_disk_cache=False)
+                                     backoff=0.0, cache_dir=tmp_path)
         finally:
             uninstall()
         assert not report.ok
@@ -148,7 +153,7 @@ class TestDegradation:
         assert _canon(report.results) == survivors
         assert not report.jobs[doomed].ok
 
-    def test_run_jobs_warns_instead_of_raising(self, jobs):
+    def test_run_jobs_warns_instead_of_raising(self, jobs, tmp_path):
         doomed = job_key(jobs[0])
         plan = FaultPlan(points=(
             FaultPoint("worker.exec", "oserror", match=doomed,
@@ -157,19 +162,19 @@ class TestDegradation:
         try:
             with pytest.warns(RuntimeWarning, match="run_jobs degraded"):
                 results = run_jobs(jobs, workers=1, retries=0,
-                                   backoff=0.0, use_disk_cache=False)
+                                   backoff=0.0, cache_dir=tmp_path)
         finally:
             uninstall()
         assert doomed not in results
         assert len(results) == len(jobs) - 1
 
-    def test_run_jobs_strict_raises(self, jobs):
+    def test_run_jobs_strict_raises(self, jobs, tmp_path):
         plan = FaultPlan(points=(
             FaultPoint("worker.exec", "oserror", times=999),))
         install(plan)
         try:
             with pytest.raises(ExecutionError, match="failed after"):
                 run_jobs(jobs, workers=1, retries=0, backoff=0.0,
-                         use_disk_cache=False, strict=True)
+                         cache_dir=tmp_path, strict=True)
         finally:
             uninstall()

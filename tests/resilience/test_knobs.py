@@ -4,7 +4,6 @@ import warnings
 
 import pytest
 
-from repro.perf.cache import DEFAULT_MEM_ENTRIES, mem_cache_capacity
 from repro.perf.engine import (
     DEFAULT_BACKOFF,
     DEFAULT_RETRIES,
@@ -60,12 +59,6 @@ class TestEnvFloat:
 
 
 class TestDocumentedKnobs:
-    def test_mem_cache_capacity_junk(self, monkeypatch):
-        monkeypatch.setenv("REPRO_RUN_CACHE_ENTRIES", "many")
-        with pytest.warns(RuntimeWarning,
-                          match="REPRO_RUN_CACHE_ENTRIES"):
-            assert mem_cache_capacity() == DEFAULT_MEM_ENTRIES
-
     def test_workers(self, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "4")
         assert default_workers() == 4
