@@ -13,6 +13,7 @@ from repro.arch import SimMemory, StreamExecutor
 from repro.graph import load_graph
 from repro.isa import assemble
 from repro.isa.spec import Instruction, Opcode
+from repro.obs import Counters, Probe
 
 
 def main() -> None:
@@ -24,7 +25,8 @@ def main() -> None:
     edges = memory.register(graph.indices, "csr-edges")
     offsets = memory.register(graph.offsets, "csr-offsets")
 
-    executor = StreamExecutor(memory)
+    counters = Counters()
+    executor = StreamExecutor(memory, probe=Probe(counters=counters))
     executor.execute(Instruction(Opcode.S_LD_GFR, (indptr, edges, offsets)))
 
     # Figure 3(a): triangle counting via nested intersection.  The host
@@ -72,9 +74,12 @@ def main() -> None:
 
     report = executor.report()
     print(f"\nexecutor cycle report: {report.total_cycles:.3e} cycles")
-    print(f"S-Cache fills: {executor.scache.stats.fills}, "
-          f"scratchpad hit rate: "
-          f"{executor.transfer.scratchpad.stats.hit_rate:.1%}")
+    fills = int(counters.get("scache.fills")
+                + counters.get("scache.refills"))
+    hits = counters.get("scratchpad.pin_hits")
+    lookups = hits + counters.get("scratchpad.misses")
+    print(f"S-Cache fills: {fills}, scratchpad hit rate: "
+          f"{hits / lookups if lookups else 0.0:.1%}")
 
 
 if __name__ == "__main__":

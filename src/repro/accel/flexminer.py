@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.arch.config import SparseCoreConfig
 from repro.arch.trace import CycleReport, FrozenTrace, Trace
 
 #: Fraction of candidate-side keys whose cmap build cost is *not*
@@ -47,9 +46,6 @@ class FlexMinerModel:
     """Trace cost model of a single FlexMiner PE."""
 
     name = "flexminer"
-
-    def __init__(self, config: SparseCoreConfig | None = None):
-        self.config = config or SparseCoreConfig()
 
     def cost(self, trace: Trace | FrozenTrace) -> CycleReport:
         t = trace.freeze()

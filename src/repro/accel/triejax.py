@@ -24,7 +24,6 @@ import math
 
 import numpy as np
 
-from repro.arch.config import CacheConfig
 from repro.arch.trace import CycleReport, FrozenTrace, Trace
 from repro.errors import ReproError
 
@@ -48,8 +47,7 @@ class TrieJaxModel:
     name = "triejax"
 
     def __init__(self, num_graph_vertices: int, redundancy: int,
-                 vertex_induced: bool = False,
-                 config: CacheConfig | None = None):
+                 vertex_induced: bool = False):
         """``redundancy`` is |Aut(pattern)| (no symmetry breaking);
         ``vertex_induced`` workloads are rejected."""
         if vertex_induced:
@@ -57,7 +55,6 @@ class TrieJaxModel:
                 "TrieJax supports only edge-induced (join) patterns")
         self.log_n = max(1.0, math.log2(max(2, num_graph_vertices)))
         self.redundancy = max(1, int(redundancy))
-        self.config = config or CacheConfig()
 
     def cost(self, trace: Trace | FrozenTrace) -> CycleReport:
         t = trace.freeze()

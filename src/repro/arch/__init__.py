@@ -3,7 +3,7 @@
 This package models the architecture of Section 4 of the paper:
 
 * :mod:`repro.arch.config` — the simulated configuration (Table 2) and
-  every cost-model constant, in one place.
+  the knobs the cost models read.
 * :mod:`repro.arch.simmem` — a flat simulated address space backed by
   numpy arrays (what ``S_READ`` addresses point into).
 * :mod:`repro.arch.memory` — the conventional cache hierarchy
@@ -29,8 +29,6 @@ from repro.arch.config import (
     config_variant,
     default_configs,
     get_preset,
-    preset_names,
-    register_preset,
     sweepable_fields,
 )
 from repro.arch.simmem import SimMemory
@@ -48,8 +46,6 @@ __all__ = [
     "config_variant",
     "default_configs",
     "get_preset",
-    "preset_names",
-    "register_preset",
     "sweepable_fields",
     "SimMemory",
     "OpKind",

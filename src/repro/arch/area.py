@@ -67,46 +67,43 @@ class AreaComparison:
 # The design-space explorer (:mod:`repro.explore`) needs an area for
 # configurations the paper never synthesized.  We decompose the
 # published 0.73 mm^2 into component shares (a modelling assumption,
-# stated here once) and scale each share by its knob relative to the
-# Table 2 default, so the default configuration reproduces
-# :data:`SPARSECORE_TOTAL_MM2` exactly and every knob moves area
+# stated here once) and scale the SU array with the SU count and the
+# S-Cache with its bandwidth, relative to the Table 2 default — the two
+# hardware fields a sweep may vary (the other sweep axes are timing
+# constants, not silicon).  The default configuration reproduces
+# :data:`SPARSECORE_TOTAL_MM2` exactly and both knobs move area
 # monotonically in the direction real silicon would.
 
 #: Fraction of the extension's area in the SU array (width-16 compare
-#: lanes dominate; scales with SU count and walk width).
+#: lanes dominate; scales with SU count).
 SU_AREA_SHARE = 0.55
-#: S-Cache share (SRAM macro + read ports; scales with the aggregate
-#: bandwidth it must sustain and the slot size).
+#: S-Cache share (SRAM macro + read ports; half of it scales with the
+#: aggregate bandwidth it must sustain, half is the fixed slot array).
 SCACHE_AREA_SHARE = 0.25
-#: Scratchpad SRAM share (scales with capacity).
+#: Scratchpad SRAM share (fixed 16 KB).
 SCRATCHPAD_AREA_SHARE = 0.12
-#: SMT + stream registers + control (registers scale, control doesn't).
+#: SMT + stream registers + control (fixed).
 FIXED_AREA_SHARE = 0.08
 
 
 def sparsecore_area_mm2(config=None) -> float:
     """Modelled silicon of the stream extension for one configuration.
 
-    First-order scaling of each component share around the synthesized
-    Table 2 point; by construction
+    First-order scaling of the SU and S-Cache shares around the
+    synthesized Table 2 point; by construction
     ``sparsecore_area_mm2(SparseCoreConfig()) == SPARSECORE_TOTAL_MM2``.
     This is the cost axis of the explorer's Pareto fronts (cycles vs.
-    area).
+    area), so it answers to the same fields as the cycles do.
     """
     from repro.arch.config import SparseCoreConfig
 
     cfg = config if config is not None else SparseCoreConfig()
     default = SparseCoreConfig()
-    su = SU_AREA_SHARE * (cfg.num_sus / default.num_sus) \
-        * (cfg.su_buffer_width / default.su_buffer_width)
+    su = SU_AREA_SHARE * (cfg.num_sus / default.num_sus)
     scache = SCACHE_AREA_SHARE * (
-        0.5 * cfg.scache_bandwidth / default.scache_bandwidth
-        + 0.5 * cfg.scache_slot_bytes / default.scache_slot_bytes)
-    scratchpad = SCRATCHPAD_AREA_SHARE \
-        * (cfg.scratchpad_bytes / default.scratchpad_bytes)
-    fixed = FIXED_AREA_SHARE * (
-        0.5 + 0.5 * cfg.num_stream_regs / default.num_stream_regs)
-    return SPARSECORE_TOTAL_MM2 * (su + scache + scratchpad + fixed)
+        0.5 * cfg.scache_bandwidth / default.scache_bandwidth + 0.5)
+    return SPARSECORE_TOTAL_MM2 * (su + scache + SCRATCHPAD_AREA_SHARE
+                                   + FIXED_AREA_SHARE)
 
 
 def area_normalized_speedup(speedup: float, own_area: float,

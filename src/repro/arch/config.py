@@ -1,22 +1,41 @@
-"""Architecture configuration: Table 2 plus all cost-model constants.
+"""Architecture configuration: Table 2 and the knobs the models read.
 
-Every number a cost model uses lives here, so experiments can sweep a
-parameter (Figures 12 and 13) or document a substitution by pointing at
-one field.  Defaults reproduce the paper's configuration (Table 2) and
-standard latencies for the Skylake-class baseline the paper compares
-against.
+Defaults reproduce the paper's configuration (Table 2) and standard
+latencies for the Skylake-class baseline the paper compares against.
+Fields differ in who reads them:
 
-Configurations are **first-class values**: every config dataclass
-validates its fields on construction (raising
-:class:`~repro.errors.ConfigError` at the configuration boundary rather
-than deep inside a cost model), serializes canonically
-(:meth:`to_dict`/:meth:`from_dict`), and hashes to a stable
-:func:`config_fingerprint` that is independent of dict field order.
-A :class:`MachineConfigs` bundle (CPU baseline + SparseCore) is what
-the run pipeline (:func:`repro.workloads.run_workload`) and the
-design-space explorer (:mod:`repro.explore`) thread through; named
-presets (:func:`get_preset`, starting with ``paper`` = Table 2) give
-sweeps a well-defined origin.
+* **Pricing** (re-run on every recorded trace): every
+  :class:`CpuConfig` field, and the seven :class:`SparseCoreConfig`
+  fields of :func:`sweepable_fields` — the only ones a design-space
+  axis may vary.
+* **Recording** (the recording
+  :class:`~repro.machine.context.Machine` and its
+  :class:`~repro.arch.transfer.TransferModel`): ``cache``,
+  ``su_buffer_width`` and ``scratchpad_bytes``.  The pipeline records
+  under the defaults, so sweeping these needs re-recording.  (A
+  profiled recording also reads ``flop_cycles_per_pair`` to size its
+  timeline spans; the trace does not depend on it.)
+* **Executor only** (:class:`~repro.arch.executor.StreamExecutor`):
+  ``num_stream_regs`` and ``scache_slot_keys``.
+* **Table 2 only**: ``num_cores``, ``rob_size``, ``load_queue_size``
+  and ``scache_slot_bytes``.
+
+Model constants that are not configuration live in their model
+modules: ``OTHER_OVERLAP``, ``RESIDUAL_MISPRED_RATE`` and
+``RESIDUAL_MISPRED_PENALTY`` (:mod:`repro.arch.sparsecore`),
+``VALUE_GATHER_MLP`` (:mod:`repro.arch.transfer`),
+``VALUE_GATHER_CYCLES`` (:mod:`repro.arch.cpu`) and
+``ROW_BUFFER_BYTES`` (:mod:`repro.arch.memory`).
+
+Configurations are frozen values: every config dataclass validates its
+fields on construction (raising :class:`~repro.errors.ConfigError` at
+the configuration boundary rather than deep inside a cost model) and
+hashes to a stable :func:`config_fingerprint` that is independent of
+field order.  A :class:`MachineConfigs` bundle (CPU baseline +
+SparseCore) is what the run pipeline
+(:func:`repro.workloads.run_workload`) and the design-space explorer
+(:mod:`repro.explore`) thread through; the named :data:`PRESETS`
+(``paper`` = Table 2) give sweeps a well-defined origin.
 """
 
 from __future__ import annotations
@@ -92,33 +111,11 @@ def _config_to_dict(cfg) -> dict:
     return out
 
 
-def _config_from_dict(cls, data, nested: dict | None = None):
-    """Rebuild ``cls`` from a :func:`_config_to_dict` mapping.
-
-    Unknown keys raise :class:`ConfigError` (a typo'd sweep axis must
-    not silently produce the default machine); missing keys fall back
-    to the class defaults, so serialized configs stay readable across
-    field additions.
-    """
-    _require(isinstance(data, dict),
-             f"{cls.__name__}.from_dict expects a mapping, "
-             f"got {type(data).__name__}")
-    known = {f.name for f in fields(cls)}
-    unknown = sorted(set(data) - known)
-    _require(not unknown,
-             f"unknown {cls.__name__} field(s): {', '.join(unknown)}")
-    kwargs = dict(data)
-    for name, sub_cls in (nested or {}).items():
-        if name in kwargs and isinstance(kwargs[name], dict):
-            kwargs[name] = sub_cls.from_dict(kwargs[name])
-    return cls(**kwargs)
-
-
 def config_fingerprint(cfg) -> str:
     """Stable 16-hex-char identity of one configuration value.
 
-    Hash of the canonical sorted-key JSON of :func:`to_dict` tagged
-    with the config class, so field order can never change the
+    Hash of the canonical sorted-key JSON of :func:`_config_to_dict`
+    tagged with the config class, so field order can never change the
     fingerprint but any field *value* change does.
     """
     blob = json.dumps({"kind": type(cfg).__name__,
@@ -153,21 +150,11 @@ class CacheConfig:
                   "l2_line_cost", "l3_line_cost", "dram_line_cost")
         _pow2(self, "line_bytes")
 
-    def to_dict(self) -> dict:
-        return _config_to_dict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CacheConfig":
-        return _config_from_dict(cls, data)
-
 
 @dataclass(frozen=True)
 class CpuConfig:
     """Baseline out-of-order CPU cost model (one core of Table 2)."""
 
-    cache: CacheConfig = field(default_factory=CacheConfig)
-    rob_size: int = 128
-    load_queue_size: int = 32
     #: Effective cycles per two-pointer merge step: the loop's critical
     #: path is a load-to-use (4-cycle L1) feeding a compare and branch;
     #: the out-of-order window overlaps part of it ("data dependencies
@@ -188,17 +175,10 @@ class CpuConfig:
 
     def __post_init__(self):
         _integral(self)
-        _positive(self, "rob_size", "load_queue_size", "cycles_per_step",
-                  "scalar_cpi", "flop_cycles_per_pair")
+        _positive(self, "cycles_per_step", "scalar_cpi",
+                  "flop_cycles_per_pair")
         _nonnegative(self, "mispredict_penalty")
         _rate(self, "mispredict_rate")
-
-    def to_dict(self) -> dict:
-        return _config_to_dict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CpuConfig":
-        return _config_from_dict(cls, data, {"cache": CacheConfig})
 
     def fingerprint(self) -> str:
         return config_fingerprint(self)
@@ -206,7 +186,10 @@ class CpuConfig:
 
 @dataclass(frozen=True)
 class SparseCoreConfig:
-    """SparseCore configuration: Table 2 plus component parameters."""
+    """SparseCore configuration: Table 2 plus component parameters.
+
+    The module docstring says which model reads each field.
+    """
 
     cache: CacheConfig = field(default_factory=CacheConfig)
     num_cores: int = 6
@@ -237,39 +220,18 @@ class SparseCoreConfig:
     scalar_cpi: float = 0.4
     #: SVPU throughput: cycles per value pair (MAC).
     flop_cycles_per_pair: float = 1.0
-    # -- published physical characteristics (Section 5.2; inputs to the
-    #    fair-comparison argument, not modelled quantities) --
-    synthesized_frequency_ghz: float = 4.35
-    area_mm2: float = 0.73
-    area_per_su_mm2: float = 0.183
 
     def __post_init__(self):
         _integral(self)
         _positive(self, "num_cores", "rob_size", "load_queue_size",
                   "num_stream_regs", "num_sus", "scache_slot_bytes",
                   "scratchpad_bytes", "scache_bandwidth", "implicit_overlap",
-                  "scalar_cpi", "flop_cycles_per_pair",
-                  "synthesized_frequency_ghz", "area_mm2", "area_per_su_mm2")
+                  "scalar_cpi", "flop_cycles_per_pair")
         _nonnegative(self, "op_issue_cycles", "nested_translate_cycles")
         # Slot keys index S-Cache ways and the SU walk is a fixed-width
         # comparator tree — both are hardware structures that only come
         # in power-of-two sizes.
         _pow2(self, "su_buffer_width", "scache_slot_keys")
-
-    def with_sus(self, n: int) -> "SparseCoreConfig":
-        """Copy with a different SU count (Figure 12 sweep)."""
-        return replace(self, num_sus=n)
-
-    def with_bandwidth(self, elems_per_cycle: int) -> "SparseCoreConfig":
-        """Copy with a different aggregate bandwidth (Figure 13 sweep)."""
-        return replace(self, scache_bandwidth=elems_per_cycle)
-
-    def to_dict(self) -> dict:
-        return _config_to_dict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SparseCoreConfig":
-        return _config_from_dict(cls, data, {"cache": CacheConfig})
 
     def fingerprint(self) -> str:
         return config_fingerprint(self)
@@ -278,14 +240,27 @@ class SparseCoreConfig:
 def sweepable_fields() -> tuple[str, ...]:
     """SparseCore field names a design-space axis may legally vary.
 
-    Every scalar field of :class:`SparseCoreConfig` except the nested
-    cache hierarchy and the published physical characteristics (those
-    are measurement inputs, not model knobs).
+    Exactly the fields the SparseCore cost model reads when it prices
+    a recorded trace, so every axis value moves some priced cycle
+    count.  The other fields are read while recording, by the executor,
+    or only by Table 2; sweeping them would re-price the same trace
+    under a config it was not recorded with.
     """
-    skip = {"cache", "synthesized_frequency_ghz", "area_mm2",
-            "area_per_su_mm2"}
-    return tuple(f.name for f in fields(SparseCoreConfig)
-                 if f.name not in skip)
+    return ("num_sus", "scache_bandwidth", "op_issue_cycles",
+            "nested_translate_cycles", "implicit_overlap", "scalar_cpi",
+            "flop_cycles_per_pair")
+
+
+def check_sweep_axis(field_name: str) -> None:
+    """Raise :class:`ConfigError` unless ``field_name`` is sweepable."""
+    if field_name in sweepable_fields():
+        return
+    known = any(f.name == field_name for f in fields(SparseCoreConfig))
+    raise ConfigError(
+        f"{field_name!r} is not a sweep axis ("
+        + ("pricing does not read it" if known
+           else "no such SparseCoreConfig field")
+        + "); expected one of: " + ", ".join(sweepable_fields()))
 
 
 def config_variant(cfg: SparseCoreConfig, field_name: str,
@@ -294,12 +269,11 @@ def config_variant(cfg: SparseCoreConfig, field_name: str,
 
     The single construction path for every sweep — Figures 12/13's
     SU/bandwidth variants and the :mod:`repro.explore` grid axes all
-    derive from the base config here (reusing :meth:`with_sus` /
-    :meth:`with_bandwidth` for the figure axes), so an invalid value
-    fails with :class:`ConfigError` before any model runs.  Configs are
-    frozen values, so each distinct variant is built and validated once
-    per process; every grid point re-prices the same Figure 12/13
-    variants.
+    derive from the base config here, so a field pricing does not read
+    or an invalid value fails with :class:`ConfigError` before any
+    model runs.  Configs are frozen values, so each distinct variant is
+    built and validated once per process; every grid point re-prices
+    the same Figure 12/13 variants.
     """
     # ``1 == 1.0`` makes two configs equal that fingerprint apart, so
     # the field types join the memo key.
@@ -310,14 +284,7 @@ def config_variant(cfg: SparseCoreConfig, field_name: str,
 @functools.lru_cache(maxsize=1024, typed=True)
 def _config_variant(cfg: SparseCoreConfig, _field_types: tuple,
                     field_name: str, value) -> SparseCoreConfig:
-    if field_name == "num_sus":
-        return cfg.with_sus(value)
-    if field_name == "scache_bandwidth":
-        return cfg.with_bandwidth(value)
-    if field_name not in sweepable_fields():
-        raise ConfigError(
-            f"unknown sweep axis {field_name!r}; expected one of: "
-            + ", ".join(sweepable_fields()))
+    check_sweep_axis(field_name)
     return replace(cfg, **{field_name: value})
 
 
@@ -326,61 +293,26 @@ class MachineConfigs:
     """The machine pair one priced run compares: CPU baseline + SparseCore.
 
     This bundle is what flows through ``run_workload(..., config=)``
-    and the explorer; its :meth:`fingerprint` is part of every
-    priced-result identity (memo keys, sweep rows) while the *trace*
-    cache key stays config-free — traces are recording artifacts, so
-    one cached recording re-prices under any number of
-    configurations.
+    and the explorer; its :meth:`fingerprint` names every priced
+    result (each sweep row carries it) while the *trace* cache key
+    stays config-free — traces are recording artifacts, so one cached
+    recording re-prices under any number of configurations.
     """
 
     cpu: CpuConfig = field(default_factory=CpuConfig)
     sparsecore: SparseCoreConfig = field(default_factory=SparseCoreConfig)
 
-    def to_dict(self) -> dict:
-        return {"cpu": self.cpu.to_dict(),
-                "sparsecore": self.sparsecore.to_dict()}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "MachineConfigs":
-        return _config_from_dict(
-            cls, data, {"cpu": CpuConfig, "sparsecore": SparseCoreConfig})
-
     def fingerprint(self) -> str:
         return config_fingerprint(self)
 
-    def replace_cpu(self, **kwargs) -> "MachineConfigs":
-        return replace(self, cpu=replace(self.cpu, **kwargs))
 
-    def replace_sparsecore(self, **kwargs) -> "MachineConfigs":
-        return replace(self, sparsecore=replace(self.sparsecore, **kwargs))
-
-    def variant(self, field_name: str, value) -> "MachineConfigs":
-        """Copy with one SparseCore sweep axis replaced."""
-        return replace(self,
-                       sparsecore=config_variant(self.sparsecore,
-                                                 field_name, value))
-
-
-# ---------------------------------------------------------------------------
-# Named presets
-# ---------------------------------------------------------------------------
-
-#: Registry of named machine configurations.  ``paper`` is Table 2 —
-#: the origin every sweep derives from unless told otherwise.
-PRESETS: dict[str, MachineConfigs] = {}
-
-
-def register_preset(name: str, configs: MachineConfigs, *,
-                    overwrite: bool = False) -> MachineConfigs:
-    """Add a named configuration pair to :data:`PRESETS`."""
-    if not isinstance(configs, MachineConfigs):
-        raise ConfigError(
-            f"preset {name!r} must be a MachineConfigs, "
-            f"got {type(configs).__name__}")
-    if name in PRESETS and not overwrite:
-        raise ConfigError(f"preset {name!r} already registered")
-    PRESETS[name] = configs
-    return configs
+#: Named machine configurations.  ``paper`` is Table 2 — the origin
+#: every sweep derives from unless told otherwise; ``paper-1su`` is
+#: Figure 7's area-fairness point (one SU against one accelerator CU).
+PRESETS: dict[str, MachineConfigs] = {
+    "paper": MachineConfigs(),
+    "paper-1su": MachineConfigs(sparsecore=SparseCoreConfig(num_sus=1)),
+}
 
 
 def get_preset(name: str) -> MachineConfigs:
@@ -391,16 +323,6 @@ def get_preset(name: str) -> MachineConfigs:
         raise ConfigError(
             f"unknown machine preset {name!r}; known presets: "
             + ", ".join(sorted(PRESETS))) from None
-
-
-def preset_names() -> tuple[str, ...]:
-    return tuple(sorted(PRESETS))
-
-
-register_preset("paper", MachineConfigs())
-#: Figure 7's area-fairness point: one SU against one accelerator CU.
-register_preset("paper-1su",
-                MachineConfigs(sparsecore=SparseCoreConfig(num_sus=1)))
 
 
 def default_configs() -> MachineConfigs:
@@ -421,11 +343,3 @@ TABLE2 = {
     "S-Cache slot size": "256B",
     "scratchpad size": "16KB",
 }
-
-
-def default_sparsecore() -> SparseCoreConfig:
-    return SparseCoreConfig()
-
-
-def default_cpu() -> CpuConfig:
-    return CpuConfig()

@@ -69,19 +69,6 @@ class LruBytes:
 
 
 @dataclass
-class MemoryStats:
-    """Accumulated traffic and stall cycles of one hierarchy instance."""
-
-    accesses: int = 0
-    l1_hits: int = 0
-    l2_hits: int = 0
-    l3_hits: int = 0
-    dram_accesses: int = 0
-    lines_transferred: int = 0
-    stall_cycles: float = 0.0
-
-
-@dataclass
 class CacheHierarchy:
     """Three-level LRU granule model with per-line pipelined costs."""
 
@@ -99,7 +86,6 @@ class CacheHierarchy:
         self._l1 = LruBytes(c.l1d_bytes) if self.use_l1 else None
         self._l2 = LruBytes(c.l2_bytes)
         self._l3 = LruBytes(c.l3_bytes)
-        self.stats = MemoryStats()
 
     def _count_level(self, level: str, nbytes: int, lines: int,
                      cost: float) -> None:
@@ -129,27 +115,19 @@ class CacheHierarchy:
             return 0.0
         c = self.config
         lines = self.lines_for(nbytes)
-        self.stats.accesses += 1
-        self.stats.lines_transferred += lines
-
         in_l1 = self._l1.access(key, nbytes) if self._l1 is not None else False
         in_l2 = self._l2.access(key, nbytes)
         in_l3 = self._l3.access(key, nbytes)
 
         if in_l1:
-            self.stats.l1_hits += 1
             level, cost = "l1", float(c.l1_latency)
         elif in_l2:
-            self.stats.l2_hits += 1
             level, cost = "l2", c.l2_latency + (lines - 1) * c.l2_line_cost
         elif in_l3:
-            self.stats.l3_hits += 1
             level, cost = "l3", c.l3_latency + (lines - 1) * c.l3_line_cost
         else:
-            self.stats.dram_accesses += 1
             level = "dram"
             cost = c.dram_latency + (lines - 1) * c.dram_line_cost
-        self.stats.stall_cycles += cost
         if self.counters.enabled:
             self._count_level(level, nbytes, lines, cost)
         return cost
@@ -165,21 +143,14 @@ class CacheHierarchy:
             return 0.0
         c = self.config
         lines = self.lines_for(nbytes)
-        self.stats.accesses += 1
-        self.stats.lines_transferred += lines
-
         in_l2 = self._l2.access(key, nbytes)
         in_l3 = self._l3.access(key, nbytes)
         if in_l2:
-            self.stats.l2_hits += 1
             level, cost = "l2", lines * c.l2_line_cost
         elif in_l3:
-            self.stats.l3_hits += 1
             level, cost = "l3", lines * c.l3_line_cost
         else:
-            self.stats.dram_accesses += 1
             level, cost = "dram", lines * c.dram_line_cost
-        self.stats.stall_cycles += cost
         if self.counters.enabled:
             self._count_level(level, nbytes, lines, cost)
         return float(cost)
@@ -189,4 +160,3 @@ class CacheHierarchy:
             self._l1.clear()
         self._l2.clear()
         self._l3.clear()
-        self.stats = MemoryStats()

@@ -3,8 +3,9 @@
 The S-Cache sits next to L1 on top of L2 and holds, per stream
 register, one 64-key (256 B) slot split into two sub-slots (double
 buffering: one sub-slot refills from L2 while the other feeds an SU).
-Stream keys never touch L1.  This class tracks slot state and movement
-statistics; the actual key data stays in the executor's numpy arrays.
+Stream keys never touch L1.  This class tracks slot state and counts
+key movement (``scache.*`` counters); the actual key data stays in the
+executor's numpy arrays.
 
 Behaviour modelled from the paper:
 
@@ -38,14 +39,6 @@ class SlotState:
         self.holds_start = False
 
 
-@dataclass
-class SCacheStats:
-    fills: int = 0               # slot fills from L2 (initial + refills)
-    writebacks: int = 0          # result-slot spills to L2
-    keys_fetched: int = 0
-    keys_written_back: int = 0
-
-
 class StreamCache:
     """Slot-state model of the S-Cache."""
 
@@ -53,7 +46,6 @@ class StreamCache:
                  counters=NULL_COUNTERS):
         self.slot_keys = slot_keys
         self.slots = [SlotState() for _ in range(num_slots)]
-        self.stats = SCacheStats()
         self.counters = counters
 
     def fill_initial(self, slot: int, stream_len: int) -> int:
@@ -65,8 +57,6 @@ class StreamCache:
         state.total_keys = stream_len
         state.resident_keys = min(stream_len, self.slot_keys)
         state.holds_start = True
-        self.stats.fills += 1
-        self.stats.keys_fetched += state.resident_keys
         if self.counters.enabled:
             self.counters.inc("scache.fills")
             self.counters.add("scache.keys_fetched", state.resident_keys)
@@ -81,8 +71,6 @@ class StreamCache:
             return 0
         remaining = state.total_keys - self.slot_keys
         refills = -(-remaining // self.slot_keys)
-        self.stats.fills += refills
-        self.stats.keys_fetched += remaining
         if self.counters.enabled:
             self.counters.add("scache.refills", refills)
             self.counters.add("scache.keys_fetched", remaining)
@@ -98,8 +86,6 @@ class StreamCache:
         # The slot keeps the most recent 64 keys; earlier groups spill.
         spilled_groups = max(0, -(-result_len // self.slot_keys) - 1)
         state.holds_start = result_len <= self.slot_keys
-        self.stats.writebacks += spilled_groups
-        self.stats.keys_written_back += max(0, result_len - state.resident_keys)
         if self.counters.enabled:
             self.counters.add("scache.writebacks", spilled_groups)
             self.counters.add("scache.keys_written_back",
@@ -123,4 +109,3 @@ class StreamCache:
     def reset(self) -> None:
         for s in self.slots:
             s.reset()
-        self.stats = SCacheStats()

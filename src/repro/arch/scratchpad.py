@@ -8,22 +8,8 @@ reused across columns — costs no L2/L3 traffic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.arch.memory import LruBytes
 from repro.obs.counters import NULL_COUNTERS
-
-
-@dataclass
-class ScratchpadStats:
-    hits: int = 0
-    misses: int = 0
-    bypasses: int = 0  # priority-0 streams never enter the scratchpad
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
 
 
 class Scratchpad:
@@ -33,27 +19,20 @@ class Scratchpad:
                  counters=NULL_COUNTERS):
         self.capacity = capacity_bytes
         self._lru = LruBytes(capacity_bytes)
-        self.stats = ScratchpadStats()
         self.counters = counters
 
     def access(self, key: tuple, nbytes: int, priority: int) -> bool:
         """Touch stream granule ``key``; returns True when served from
         the scratchpad (no memory traffic).  Priority-0 streams bypass."""
         if priority <= 0:
-            self.stats.bypasses += 1
             if self.counters.enabled:
                 self.counters.inc("scratchpad.bypasses")
             return False
         if nbytes > self.capacity:
-            self.stats.misses += 1
             if self.counters.enabled:
                 self.counters.inc("scratchpad.misses")
             return False
         hit = self._lru.access(key, nbytes)
-        if hit:
-            self.stats.hits += 1
-        else:
-            self.stats.misses += 1
         if self.counters.enabled:
             if hit:
                 self.counters.inc("scratchpad.pin_hits")
@@ -68,4 +47,3 @@ class Scratchpad:
 
     def reset(self) -> None:
         self._lru.clear()
-        self.stats = ScratchpadStats()

@@ -42,6 +42,10 @@ OTHER_OVERLAP = 0.6
 #: loop branches are mostly pattern-predictable).
 RESIDUAL_MISPRED_RATE = 0.08
 
+#: Flush penalty of those residual mispredictions: the host core's, the
+#: same 14 cycles as the CPU baseline's default ``mispredict_penalty``.
+RESIDUAL_MISPRED_PENALTY = 14.0
+
 
 #: Segment reductions kept per trace: one per distinct
 #: (``implicit_overlap``, ``flop_cycles_per_pair``) pair, oldest dropped
@@ -172,7 +176,7 @@ class SparseCoreModel:
         cache = segments.sc_mem
 
         # Residual branches: only the plain ops sit inside scalar loops.
-        branch = n_plain * RESIDUAL_MISPRED_RATE * 14.0
+        branch = n_plain * RESIDUAL_MISPRED_RATE * RESIDUAL_MISPRED_PENALTY
 
         scalar_instrs = t.shared_scalar_instrs + t.sc_only_scalar_instrs
         other_raw = scalar_instrs * c.scalar_cpi

@@ -50,7 +50,6 @@ class TransferModel:
                                            name="mem.sc")
         self.scratchpad = Scratchpad(self.config.scratchpad_bytes,
                                      counters=counters)
-        self.stream_loads = 0
 
     def load_stream(self, key: tuple, nbytes: int,
                     priority: int = 0) -> StreamLoadCost:
@@ -59,16 +58,13 @@ class TransferModel:
         ``key`` is a stable granule identity (e.g. ``("edges", v)``);
         ``priority`` is the compiler-assigned scratchpad priority.
         """
-        self.stream_loads += 1
         cpu = self.cpu_hierarchy.access(key, nbytes)
-        if self.scratchpad.access(key, nbytes, priority):
-            sc = 0.0
-        else:
-            sc = self.sc_hierarchy.access_pipelined(key, nbytes)
+        hit = self.scratchpad.access(key, nbytes, priority)
+        sc = 0.0 if hit else self.sc_hierarchy.access_pipelined(key, nbytes)
         if self.counters.enabled:
             self.counters.inc("transfer.stream_loads")
             self.counters.add("transfer.stream_bytes", nbytes)
-        return StreamLoadCost(cpu, sc, sc == 0.0 and priority > 0)
+        return StreamLoadCost(cpu, sc, hit)
 
     def load_values(self, key: tuple, nbytes: int) -> StreamLoadCost:
         """Value fetches go through the *normal* hierarchy on both
@@ -89,4 +85,3 @@ class TransferModel:
         self.cpu_hierarchy.reset()
         self.sc_hierarchy.reset()
         self.scratchpad.reset()
-        self.stream_loads = 0

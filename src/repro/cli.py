@@ -53,7 +53,8 @@ Commands:
     ledger as a Perfetto-loadable Chrome trace (one lane per process).
 ``explore <workload...> --axis FIELD=VALUES [--preset P] [--json]``
     Design-space sweep: expand one or more ``--axis`` specs
-    (``num_sus=1,2,4,8,16``, ``scache_bandwidth=2..64``) into a grid of
+    (``num_sus=1,2,4,8,16``, ``scache_bandwidth=2..64``; FIELD is one of
+    the fields pricing reads, ``sweepable_fields()``) into a grid of
     machine configurations around a named preset, record the workloads
     the trace cache lacks through the parallel engine, price every
     (workload, point) pair in-process from one read of each trace, and
@@ -689,6 +690,8 @@ def _cmd_bench(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.arch.config import sweepable_fields
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="SparseCore (ASPLOS 2022) reproduction toolkit",
@@ -840,7 +843,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="one swept config field: num_sus=1,2,4,8,16 "
                               "| scache_bandwidth=2..64 (doubling) | "
                               "num_sus=2..8:2 (arithmetic); repeat for a "
-                              "grid")
+                              "grid.  FIELD is one of the fields pricing "
+                              "reads: " + ", ".join(sweepable_fields()))
     explore.add_argument("--preset", default="paper",
                          help="base machine preset (default: paper = "
                               "Table 2)")

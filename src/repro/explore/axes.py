@@ -9,13 +9,14 @@ Axis syntax (the CLI ``--axis`` argument)::
 
     num_sus=1,2,4,8,16        explicit value list
     scache_bandwidth=2..64    geometric range, doubling (2,4,8,16,32,64)
-    scratchpad_bytes=4096..65536
     num_sus=2..8:2            arithmetic range with step (2,4,6,8)
+    scalar_cpi=0.1..0.3:0.1   arithmetic range of floats (0.1,0.2,0.3)
 
 Field names are validated against
-:func:`~repro.arch.config.sweepable_fields` up front, and every derived
-config revalidates on construction — a typo'd axis or an illegal value
-(zero SUs, non-power-of-two slot keys) fails with
+:func:`~repro.arch.config.sweepable_fields` (the fields pricing reads)
+up front, and every derived config revalidates on construction — a
+typo'd axis, a field pricing does not read, or an illegal value (zero
+SUs, a fractional SU count) fails with
 :class:`~repro.errors.ConfigError` before any model runs.
 """
 
@@ -26,11 +27,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from repro.arch.config import (
-    MachineConfigs,
-    config_variant,
-    sweepable_fields,
-)
+from repro.arch.config import MachineConfigs, check_sweep_axis, config_variant
 from repro.errors import ConfigError
 
 
@@ -42,10 +39,7 @@ class Axis:
     values: tuple
 
     def __post_init__(self):
-        if self.field not in sweepable_fields():
-            raise ConfigError(
-                f"unknown sweep axis {self.field!r}; expected one of: "
-                + ", ".join(sweepable_fields()))
+        check_sweep_axis(self.field)
         if not self.values:
             raise ConfigError(f"axis {self.field!r} has no values")
         if len(set(self.values)) != len(self.values):

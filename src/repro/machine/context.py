@@ -367,21 +367,8 @@ class Machine:
         n_matches = ops.intersect_count(a.keys, b.keys, bound)
         ga = self._gather_values(a, n_matches)
         gb = self._gather_values(b, n_matches)
-        gather = (ga[0] + gb[0], ga[1] + gb[1])
-        cpu_a, sc_a = a.take_pending()
-        cpu_b, sc_b = b.take_pending()
-        self._defer(OpKind.VINTER, a.keys, b.keys, bound,
-                    burst=self._burst,
-                    cpu_mem=cpu_a + cpu_b + gather[0],
-                    sc_mem=sc_a + sc_b + gather[1],
-                    flop_pairs=n_matches)
-        self.trace.add_scalar(OP_SETUP_INSTRS)
-        if self.obs.enabled:
-            stats = analyze_pair(a.keys, b.keys, bound, width=self._width)
-            self._observe_op(OpKind.VINTER, stats,
-                             cpu_mem=cpu_a + cpu_b + gather[0],
-                             sc_mem=sc_a + sc_b + gather[1],
-                             flop_pairs=n_matches)
+        self._record(OpKind.VINTER, a, b, bound, flop_pairs=n_matches,
+                     extra_mem=(ga[0] + gb[0], ga[1] + gb[1]))
         return ops.vinter(a.keys, av, b.keys, bv, op, bound)
 
     def vmerge(self, alpha: float, a: StreamOperand,
@@ -394,21 +381,8 @@ class Machine:
         n_out = int(keys.size)
         ga = self._gather_values(a, len(a))
         gb = self._gather_values(b, len(b))
-        gather = (ga[0] + gb[0], ga[1] + gb[1])
-        cpu_a, sc_a = a.take_pending()
-        cpu_b, sc_b = b.take_pending()
-        self._defer(OpKind.VMERGE, a.keys, b.keys, UNBOUNDED,
-                    burst=self._burst,
-                    cpu_mem=cpu_a + cpu_b + gather[0],
-                    sc_mem=sc_a + sc_b + gather[1],
-                    flop_pairs=n_out)
-        self.trace.add_scalar(OP_SETUP_INSTRS)
-        if self.obs.enabled:
-            stats = analyze_pair(a.keys, b.keys, width=self._width)
-            self._observe_op(OpKind.VMERGE, stats,
-                             cpu_mem=cpu_a + cpu_b + gather[0],
-                             sc_mem=sc_a + sc_b + gather[1],
-                             flop_pairs=n_out)
+        self._record(OpKind.VMERGE, a, b, UNBOUNDED, flop_pairs=n_out,
+                     extra_mem=(ga[0] + gb[0], ga[1] + gb[1]))
         return StreamOperand(keys, vals)
 
     # -- nested intersection (S_NESTINTER) ------------------------------------------

@@ -8,6 +8,7 @@ from repro.arch.scratchpad import Scratchpad
 from repro.arch.stream_regs import GraphFormatRegisters, StreamRegisterFile
 from repro.arch.transfer import TransferModel
 from repro.errors import GfrNotLoadedFault
+from repro.obs import Counters
 
 
 class TestStreamRegisterFile:
@@ -74,11 +75,12 @@ class TestStreamCache:
         # "If the result stream contains more than 64 keys, the slot will
         # contain the most recently produced 64 keys while the previous
         # slot is written back to L2 and the start bit is cleared."
-        sc = StreamCache(slot_keys=64)
+        counters = Counters()
+        sc = StreamCache(slot_keys=64, counters=counters)
         spills = sc.write_result(1, 200)
         assert spills == 3
         assert not sc.whole_stream_resident(1)
-        assert sc.stats.writebacks == 3
+        assert counters.get("scache.writebacks") == 3
 
     def test_release(self):
         sc = StreamCache(slot_keys=64)
@@ -89,16 +91,19 @@ class TestStreamCache:
 
 class TestScratchpad:
     def test_priority_zero_bypasses(self):
-        sp = Scratchpad(1024)
+        counters = Counters()
+        sp = Scratchpad(1024, counters=counters)
         assert sp.access(("a",), 100, priority=0) is False
         assert sp.access(("a",), 100, priority=0) is False
-        assert sp.stats.bypasses == 2
+        assert counters.get("scratchpad.bypasses") == 2
 
     def test_priority_stream_hits_on_reuse(self):
-        sp = Scratchpad(1024)
+        counters = Counters()
+        sp = Scratchpad(1024, counters=counters)
         assert sp.access(("a",), 100, priority=1) is False
         assert sp.access(("a",), 100, priority=1) is True
-        assert sp.stats.hit_rate == 0.5
+        assert counters.get("scratchpad.pin_hits") == 1
+        assert counters.get("scratchpad.misses") == 1
 
     def test_oversize_stream_never_cached(self):
         sp = Scratchpad(1024)
@@ -126,6 +131,17 @@ class TestTransferModel:
         assert cost.sc_cycles == 0.0
         assert cost.scratchpad_hit
 
+    def test_empty_stream_is_not_a_scratchpad_hit(self):
+        # A zero-byte load (an empty edge list) costs nothing on the
+        # pipelined path, but the scratchpad missed it.
+        counters = Counters()
+        tm = TransferModel(SparseCoreConfig(), counters)
+        cost = tm.load_stream(("edges", 0, 7), 0, priority=1)
+        assert cost.sc_cycles == 0.0
+        assert not cost.scratchpad_hit
+        assert counters.get("scratchpad.misses") == 1
+        assert counters.get("scratchpad.pin_hits") == 0
+
     def test_value_loads_charged_on_both(self):
         tm = TransferModel(SparseCoreConfig())
         cost = tm.load_values(("vals", 1), 512)
@@ -136,6 +152,5 @@ class TestTransferModel:
         tm = TransferModel(SparseCoreConfig())
         tm.load_stream(("edges", 1), 64, priority=1)
         tm.reset()
-        assert tm.stream_loads == 0
         cost = tm.load_stream(("edges", 1), 64, priority=1)
         assert not cost.scratchpad_hit

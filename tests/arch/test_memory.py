@@ -2,6 +2,7 @@
 
 from repro.arch.config import CacheConfig
 from repro.arch.memory import CacheHierarchy, LruBytes
+from repro.obs import Counters
 
 
 class TestLruBytes:
@@ -44,26 +45,29 @@ class TestCacheHierarchy:
         return CacheConfig(l1d_bytes=256, l2_bytes=1024, l3_bytes=4096)
 
     def test_first_access_is_dram(self):
-        h = CacheHierarchy(self.config())
+        counters = Counters()
+        h = CacheHierarchy(self.config(), counters=counters)
         cost = h.access(("v", 1), 64)
         assert cost == h.config.dram_latency
-        assert h.stats.dram_accesses == 1
+        assert counters.get("mem.dram_accesses") == 1
 
     def test_second_access_is_l1(self):
-        h = CacheHierarchy(self.config())
+        counters = Counters()
+        h = CacheHierarchy(self.config(), counters=counters)
         h.access(("v", 1), 64)
         cost = h.access(("v", 1), 64)
         assert cost == h.config.l1_latency
-        assert h.stats.l1_hits == 1
+        assert counters.get("mem.l1_hits") == 1
 
     def test_l2_hit_after_l1_eviction(self):
-        h = CacheHierarchy(self.config())
+        counters = Counters()
+        h = CacheHierarchy(self.config(), counters=counters)
         h.access(("v", 1), 128)
         for i in range(2, 6):
             h.access(("v", i), 128)  # push v1 out of the 256B L1
         cost = h.access(("v", 1), 128)
         assert cost == h.config.l2_latency + 1 * h.config.l2_line_cost
-        assert h.stats.l2_hits >= 1
+        assert counters.get("mem.l2_hits") >= 1
 
     def test_no_l1_mode(self):
         h = CacheHierarchy(self.config(), use_l1=False)
@@ -77,9 +81,11 @@ class TestCacheHierarchy:
         assert cost == h.config.dram_latency + 3 * h.config.dram_line_cost
 
     def test_zero_bytes_free(self):
-        h = CacheHierarchy(self.config())
+        counters = Counters()
+        h = CacheHierarchy(self.config(), counters=counters)
         assert h.access(("v", 1), 0) == 0.0
-        assert h.stats.accesses == 0
+        assert h.access_pipelined(("v", 1), 0) == 0.0
+        assert counters.flat() == {}
 
     def test_pipelined_access_cheaper_than_demand(self):
         h1 = CacheHierarchy(self.config(), use_l1=False)
@@ -105,5 +111,4 @@ class TestCacheHierarchy:
         h = CacheHierarchy(self.config())
         h.access(("v", 1), 64)
         h.reset()
-        assert h.stats.accesses == 0
         assert h.access(("v", 1), 64) == h.config.dram_latency

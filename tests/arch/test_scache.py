@@ -3,6 +3,7 @@
 import pytest
 
 from repro.arch.scache import StreamCache
+from repro.obs import Counters
 
 
 class TestFillInitial:
@@ -27,11 +28,12 @@ class TestFillInitial:
         assert sc.whole_stream_resident(0)
 
     def test_stats_track_fetches(self):
-        sc = StreamCache()
+        counters = Counters()
+        sc = StreamCache(counters=counters)
         sc.fill_initial(0, 10)
         sc.fill_initial(1, 100)
-        assert sc.stats.fills == 2
-        assert sc.stats.keys_fetched == 10 + sc.slot_keys
+        assert counters.get("scache.fills") == 2
+        assert counters.get("scache.keys_fetched") == 10 + sc.slot_keys
 
 
 class TestDemandRefills:
@@ -46,25 +48,32 @@ class TestDemandRefills:
         assert sc.demand_refills(3) == expect
 
     def test_refills_add_to_stats(self):
-        sc = StreamCache()
+        counters = Counters()
+        sc = StreamCache(counters=counters)
         sc.fill_initial(0, 200)
         sc.demand_refills(0)
-        assert sc.stats.keys_fetched == 200
+        assert counters.get("scache.keys_fetched") == 200
+        # 1 initial fill + ceil(136 / 64) = 3 refills.
+        assert counters.get("scache.fills") \
+            + counters.get("scache.refills") == 4
 
 
 class TestWriteResult:
     def test_short_result_no_spill(self):
-        sc = StreamCache()
+        counters = Counters()
+        sc = StreamCache(counters=counters)
         assert sc.write_result(0, 30) == 0
         assert sc.whole_stream_resident(0)
-        assert sc.stats.writebacks == 0
+        assert counters.get("scache.writebacks") == 0
 
     def test_long_result_spills_groups(self):
-        sc = StreamCache()
+        counters = Counters()
+        sc = StreamCache(counters=counters)
         # 150 keys = 3 groups of 64; the newest stays, 2 spill.
         assert sc.write_result(0, 150) == 2
         assert not sc.whole_stream_resident(0)
-        assert sc.stats.keys_written_back == 150 - sc.slot_keys
+        assert counters.get("scache.keys_written_back") \
+            == 150 - sc.slot_keys
 
     def test_release_clears_slot(self):
         sc = StreamCache()
@@ -78,9 +87,8 @@ class TestWriteResult:
         sc.fill_initial(0, 500)
         sc.write_result(1, 500)
         sc.reset()
-        assert sc.stats.fills == 0
-        assert sc.stats.writebacks == 0
         assert all(s.total_keys == 0 for s in sc.slots)
+        assert not any(s.holds_start for s in sc.slots)
 
 
 class TestSlotIndependence:

@@ -2,23 +2,26 @@
 (Section 4.2)."""
 
 from repro.arch.scratchpad import Scratchpad
+from repro.obs import Counters
 
 
 class TestPriorityGate:
     def test_priority_zero_always_bypasses(self):
-        sp = Scratchpad()
+        counters = Counters()
+        sp = Scratchpad(counters=counters)
         assert not sp.access(("s", 1), 100, priority=0)
         assert not sp.access(("s", 1), 100, priority=0)  # even re-touch
-        assert sp.stats.bypasses == 2
-        assert sp.stats.hits == 0
+        assert counters.get("scratchpad.bypasses") == 2
+        assert counters.get("scratchpad.pin_hits") == 0
         assert sp.used_bytes == 0
 
     def test_priority_one_miss_then_hit(self):
-        sp = Scratchpad()
+        counters = Counters()
+        sp = Scratchpad(counters=counters)
         assert not sp.access(("s", 1), 100, priority=1)  # cold
         assert sp.access(("s", 1), 100, priority=1)      # warm
-        assert sp.stats.misses == 1
-        assert sp.stats.hits == 1
+        assert counters.get("scratchpad.misses") == 1
+        assert counters.get("scratchpad.pin_hits") == 1
 
     def test_bypassed_granule_not_installed(self):
         sp = Scratchpad()
@@ -29,10 +32,11 @@ class TestPriorityGate:
 
 class TestCapacity:
     def test_oversized_granule_misses_without_install(self):
-        sp = Scratchpad(capacity_bytes=1024)
+        counters = Counters()
+        sp = Scratchpad(capacity_bytes=1024, counters=counters)
         assert not sp.access(("big",), 4096, priority=1)
         assert not sp.access(("big",), 4096, priority=1)
-        assert sp.stats.misses == 2
+        assert counters.get("scratchpad.misses") == 2
         assert sp.used_bytes == 0
 
     def test_lru_eviction_under_pressure(self):
@@ -51,19 +55,18 @@ class TestCapacity:
 
 class TestStats:
     def test_hit_rate(self):
-        sp = Scratchpad()
+        counters = Counters()
+        sp = Scratchpad(counters=counters)
         sp.access(("a",), 10, priority=1)
         sp.access(("a",), 10, priority=1)
         sp.access(("a",), 10, priority=1)
-        assert sp.stats.hit_rate == 2 / 3
-
-    def test_hit_rate_empty_is_zero(self):
-        assert Scratchpad().stats.hit_rate == 0.0
+        hits = counters.get("scratchpad.pin_hits")
+        assert hits / (hits + counters.get("scratchpad.misses")) == 2 / 3
+        assert counters.get("scratchpad.bytes_served") == 20
 
     def test_reset(self):
         sp = Scratchpad()
         sp.access(("a",), 10, priority=1)
         sp.reset()
         assert sp.used_bytes == 0
-        assert sp.stats.misses == 0
         assert not sp.access(("a",), 10, priority=1)  # cold again

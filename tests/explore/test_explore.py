@@ -1,10 +1,17 @@
 """Design-space explorer: axes, grids, Pareto fronts, the sweep runner."""
 
+import dataclasses
 import json
 
 import pytest
 
-from repro.arch.config import MachineConfigs, default_configs
+from repro.arch.area import SPARSECORE_TOTAL_MM2, sparsecore_area_mm2
+from repro.arch.config import (
+    CpuConfig,
+    MachineConfigs,
+    SparseCoreConfig,
+    default_configs,
+)
 from repro.errors import ConfigError
 from repro.explore import (
     Axis,
@@ -52,7 +59,7 @@ def test_parse_mixed_list_and_range():
     "num_sus=2..6",             # 6 is not 2 doubled
     "num_sus=2..8:0",           # non-positive step
     "cache=1,2",                # nested config is not sweepable
-    "area_mm2=1,2",             # published characteristic, not a knob
+    "area_mm2=1,2",             # derived from the config, not a field
     "scalar_cpi=nan",           # non-finite value
     "scalar_cpi=0.1..inf:0.1",  # non-finite bound
 ])
@@ -96,9 +103,22 @@ def test_grid_validation_fires_at_construction(axis):
 
 
 def test_grid_keeps_base_cpu():
-    base = default_configs().replace_cpu(rob_size=256)
+    base = MachineConfigs(cpu=CpuConfig(cycles_per_step=2.5))
     points = grid_points(parse_axes(["num_sus=1,2"]), base)
-    assert all(p.config.cpu.rob_size == 256 for p in points)
+    assert all(p.config.cpu.cycles_per_step == 2.5 for p in points)
+
+
+def test_area_answers_to_su_count_and_bandwidth_only():
+    base = SparseCoreConfig()
+    assert sparsecore_area_mm2(base) == SPARSECORE_TOTAL_MM2
+    for f in dataclasses.fields(base):
+        if f.name == "cache":
+            continue
+        bigger = dataclasses.replace(
+            base, **{f.name: getattr(base, f.name) * 2})
+        grows = f.name in ("num_sus", "scache_bandwidth")
+        assert (sparsecore_area_mm2(bigger) > SPARSECORE_TOTAL_MM2) \
+            == grows, f.name
 
 
 # -- pareto ------------------------------------------------------------------
@@ -309,11 +329,20 @@ def test_cli_explore_json(capsys):
     assert payload["workloads"][0]["workload"] == "triangle"
 
 
-def test_cli_explore_bad_axis_exits_2(capsys):
+@pytest.mark.parametrize("axis", [
+    "warp_size=1,2",            # no such field
+    "su_buffer_width=8,16",     # read only while recording
+    "num_stream_regs=4,16",     # read only by the executor
+    "rob_size=64,128",          # Table 2 only
+])
+def test_cli_explore_bad_axis_exits_2(capsys, axis):
+    from repro.arch.config import sweepable_fields
     from repro.cli import main
 
-    assert main(["explore", "triangle", "--axis", "warp_size=1,2"]) == 2
-    assert "warp_size" in capsys.readouterr().err
+    assert main(["explore", "triangle", "--axis", axis]) == 2
+    err = capsys.readouterr().err
+    assert axis.split("=")[0] in err
+    assert all(f in err for f in sweepable_fields())
 
 
 def test_cli_explore_no_workload_exits_2(capsys):
