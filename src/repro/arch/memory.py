@@ -41,23 +41,33 @@ class LruBytes:
         self._used = 0
 
     def access(self, key: tuple, nbytes: int) -> bool:
-        """Touch ``key``; returns True on hit.  Inserts on miss."""
-        entry = self._entries.pop(key, None)
-        if entry is not None:
-            self._used -= entry
-        self._insert(key, nbytes)
-        return entry is not None
+        """Touch ``key``; returns True on hit.  Inserts on miss.
+
+        Granules larger than the capacity are clamped to it.  A hit at
+        the granule's stored size only refreshes its recency (used bytes
+        cannot grow, so nothing is evicted); a hit at a new size (value
+        gathers, accumulator reloads) re-inserts it like a miss.
+        """
+        entries = self._entries
+        capacity = self.capacity
+        if nbytes > capacity:
+            nbytes = capacity
+        old = entries.get(key)
+        if old is not None:
+            if old == nbytes:
+                entries.move_to_end(key)
+                return True
+            del entries[key]
+            self._used -= old
+        used = self._used + nbytes
+        while used > capacity and entries:
+            used -= entries.popitem(last=False)[1]
+        entries[key] = nbytes
+        self._used = used
+        return old is not None
 
     def contains(self, key: tuple) -> bool:
         return key in self._entries
-
-    def _insert(self, key: tuple, nbytes: int) -> None:
-        nbytes = min(nbytes, self.capacity)
-        while self._used + nbytes > self.capacity and self._entries:
-            _, evicted = self._entries.popitem(last=False)
-            self._used -= evicted
-        self._entries[key] = nbytes
-        self._used += nbytes
 
     @property
     def used_bytes(self) -> int:

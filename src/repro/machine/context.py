@@ -7,7 +7,8 @@ instructions, ``vinter``/``vmerge`` for the value instructions, and
 ``nest_intersect`` for ``S_NESTINTER``.  Each call returns the
 functional result and appends one record to the trace; stream loads
 charge the paired CPU/SparseCore memory models at the moment the data
-would move.
+would move.  ``vinter_sweep`` records a whole row of ``S_VREAD`` +
+``S_VINTER`` pairs in one call, exactly as the per-pair calls would.
 
 Kernels annotate structure the hardware exploits:
 
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -370,6 +371,76 @@ class Machine:
         self._record(OpKind.VINTER, a, b, bound, flop_pairs=n_matches,
                      extra_mem=(ga[0] + gb[0], ga[1] + gb[1]))
         return ops.vinter(a.keys, av, b.keys, bv, op, bound)
+
+    def vinter_sweep(self, a: StreamOperand, keys: Sequence[np.ndarray],
+                     vals: Sequence[np.ndarray],
+                     granules: Sequence[tuple | None],
+                     priority: int = 0) -> np.ndarray:
+        """``S_VINTER`` MAC of ``a`` against a sweep of (key,value) streams.
+
+        Records exactly what this loop records, in the same order::
+
+            for j in range(len(keys)):
+                b = self.load_values(keys[j], vals[j], granules[j], priority)
+                out[j] = self.vinter(a, b, "MAC")
+
+        — the same ops, stream loads, value gathers and per-op memory
+        charges (``a``'s pending charge lands on the first op) — and
+        returns ``out`` bit for bit.  One call records a kernel's whole
+        row sweep, much as an indirection stream walks a whole index
+        array from one configuration: the values come from one batched
+        kernel (:func:`repro.streams.ops.vinter_mac_sweep`), and each op
+        pays only its memory-model accesses and its deferred record.
+        """
+        av = self._require_values(a)
+        if self.obs.enabled:
+            # Profiled runs keep the per-op counters and tracer events.
+            return np.array([
+                self.vinter(a, self.load_values(k, v, g, priority), "MAC")
+                for k, v, g in zip(keys, vals, granules)], dtype=np.float64)
+        counts, values = ops.vinter_mac_sweep(a.keys, av, keys, vals)
+        load_stream = self.transfer.load_stream
+        load_values = self.transfer.load_values
+        defer, burst, kind = self._defer, self._burst, OpKind.VINTER
+        a_keys, a_vgranule = a.keys, a.vgranule
+        a_cpu, a_sc = a.pending_cpu, a.pending_sc
+        if len(keys):
+            a.pending_cpu = a.pending_sc = 0.0
+        for b_keys, granule, n_matches in zip(keys, granules,
+                                              counts.tolist()):
+            # Mirrors load() then vinter()/_record(): the charge sums
+            # are formed in the same order, so they are bit-identical.
+            b_cpu = b_sc = cpu_mem = sc_mem = 0.0
+            if granule is not None:
+                cost = load_stream(granule, b_keys.size * KEY_BYTES,
+                                   priority)
+                b_cpu, b_sc = cost.cpu_cycles, cost.sc_cycles
+            if n_matches:
+                nbytes = n_matches * _VALUE_BYTES
+                ga_cpu = ga_sc = gb_cpu = gb_sc = 0.0
+                if a_vgranule is not None:
+                    cost = load_values(a_vgranule, nbytes)
+                    ga_cpu, ga_sc = cost.cpu_cycles, cost.sc_cycles
+                if granule is not None:
+                    cost = load_values(("vals",) + granule, nbytes)
+                    gb_cpu, gb_sc = cost.cpu_cycles, cost.sc_cycles
+                cpu_mem, sc_mem = ga_cpu + gb_cpu, ga_sc + gb_sc
+            if a_cpu or a_sc:
+                cpu_mem += a_cpu
+                sc_mem += a_sc
+                a_cpu = a_sc = 0.0
+            if b_cpu or b_sc:
+                cpu_mem += b_cpu
+                sc_mem += b_sc
+            defer(kind, a_keys, b_keys, UNBOUNDED, burst=burst,
+                  cpu_mem=cpu_mem, sc_mem=sc_mem, flop_pairs=n_matches)
+        self.trace.shared_scalar_instrs += OP_SETUP_INSTRS * len(keys)
+        if self.record_lengths:
+            a_size = a_keys.size
+            for b_keys in keys:
+                self._append_length(a_size)
+                self._append_length(b_keys.size)
+        return values
 
     def vmerge(self, alpha: float, a: StreamOperand,
                beta: float, b: StreamOperand) -> StreamOperand:

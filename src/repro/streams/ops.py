@@ -33,6 +33,7 @@ __all__ = [
     "merge",
     "merge_count",
     "vinter",
+    "vinter_mac_sweep",
     "vmerge",
     "ValueOp",
 ]
@@ -167,6 +168,47 @@ def vinter(
     pos_in_b = np.searchsorted(b_keys_eff, a_keys_eff[mask_a])
     combined = op.combine(a_vals[mask_a], b_vals[pos_in_b])
     return float(np.sum(combined))
+
+
+def vinter_mac_sweep(
+    a_keys: np.ndarray,
+    a_vals: np.ndarray,
+    b_keys: list[np.ndarray],
+    b_vals: list[np.ndarray],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Unbounded MAC ``S_VINTER`` of one stream against each of many.
+
+    Returns the match count and the value of
+    ``vinter(a_keys, a_vals, b_keys[j], b_vals[j], "MAC")`` for every
+    ``j``, bit for bit.  One ``searchsorted`` pass over the concatenated
+    ``b`` operands finds every match; each pair's products then sit
+    contiguously in key order, as ``vinter`` forms them.  Pairs with the
+    same match count are summed together as the rows of one C-contiguous
+    block along ``axis=1``, which reduces each row exactly as ``np.sum``
+    reduces it alone.  (``np.add.reduceat`` does not: its segment sums
+    differ from ``np.sum`` in the last bits on most segments of three or
+    more elements.)
+    """
+    n = len(b_keys)
+    counts = np.zeros(n, dtype=np.int64)
+    values = np.zeros(n, dtype=np.float64)
+    if n == 0 or a_keys.size == 0:
+        return counts, values
+    sizes = np.fromiter((k.size for k in b_keys), dtype=np.int64, count=n)
+    keys = np.concatenate(b_keys)
+    pos = np.searchsorted(a_keys, keys)
+    hit = pos < a_keys.size
+    hit[hit] = a_keys[pos[hit]] == keys[hit]
+    counts = np.bincount(np.repeat(np.arange(n), sizes)[hit], minlength=n)
+    if not hit.any():
+        return counts, values
+    products = a_vals[pos[hit]] * np.concatenate(b_vals)[hit]
+    starts = np.cumsum(counts) - counts
+    for count in np.unique(counts[counts > 0]).tolist():
+        pairs = np.flatnonzero(counts == count)
+        block = products[starts[pairs, None] + np.arange(count)]
+        values[pairs] = block.sum(axis=1)
+    return counts, values
 
 
 def vmerge(

@@ -37,9 +37,17 @@ def _empty_acc() -> StreamOperand:
 
 def spmspm_inner(a: SparseMatrix, b: SparseMatrix,
                  machine: Machine | None = None) -> SparseMatrix:
-    """Inner-product dataflow (one ``S_VINTER`` per output candidate)."""
+    """Inner-product dataflow (one ``S_VINTER`` per output candidate).
+
+    Each row of A sweeps every non-empty column of B in one
+    :meth:`~repro.machine.context.Machine.vinter_sweep` call."""
     machine = machine or Machine(name="spmspm-inner")
     bt = b.transpose()  # CSC view of B; format conversion is input prep
+    # The non-empty columns of B, swept by every row of A.
+    col_ids = np.flatnonzero(np.diff(bt.indptr))
+    col_keys = [bt.row_keys(j) for j in col_ids]
+    col_vals = [bt.row_vals(j) for j in col_ids]
+    granules = [("bcol", id(b), j) for j in col_ids.tolist()]
     rows, cols, vals = [], [], []
     for i in range(a.shape[0]):
         if a.row_nnz(i) == 0:
@@ -47,17 +55,12 @@ def spmspm_inner(a: SparseMatrix, b: SparseMatrix,
         a_row = machine.load_values(
             a.row_keys(i), a.row_vals(i), ("arow", id(a), i), priority=1)
         machine.scalar(LOOP_INSTRS)
-        for j in range(bt.shape[0]):
-            if bt.row_nnz(j) == 0:
-                continue
-            b_col = machine.load_values(
-                bt.row_keys(j), bt.row_vals(j), ("bcol", id(b), j))
-            value = machine.vinter(a_row, b_col, "MAC")
-            machine.scalar(LOOP_INSTRS)
-            if value != 0.0:
-                rows.append(i)
-                cols.append(j)
-                vals.append(value)
+        values = machine.vinter_sweep(a_row, col_keys, col_vals, granules)
+        machine.scalar(LOOP_INSTRS * len(col_keys))
+        nz = np.flatnonzero(values)
+        rows.extend([i] * nz.size)
+        cols.extend(col_ids[nz].tolist())
+        vals.extend(values[nz].tolist())
     return SparseMatrix.from_coo(
         (a.shape[0], b.shape[1]), rows, cols, vals, name="C")
 

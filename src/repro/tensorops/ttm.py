@@ -1,9 +1,11 @@
 """Tensor-times-matrix: ``Z[i,j,k] = sum_l A[i,j,l] * B[k,l]``.
 
 Each CSF fiber of A contracts against every row of B — one
-``S_VINTER`` MAC per (fiber, k) pair.  B's rows are the hot reusable
-streams (scratchpad priority), which is what gives TTM its higher
-speedup than TTV on denser tensors (Section 6.9.1).
+``S_VINTER`` MAC per (fiber, k) pair, each fiber's sweep over B's rows
+recorded by one :meth:`~repro.machine.context.Machine.vinter_sweep`
+call.  B's rows are the hot reusable streams (scratchpad priority),
+which is what gives TTM its higher speedup than TTV on denser tensors
+(Section 6.9.1).
 """
 
 from __future__ import annotations
@@ -24,6 +26,11 @@ def ttm(a: CSFTensor, b: SparseMatrix,
     if b.shape[1] != a.shape[2]:
         raise ValueError(
             f"matrix has {b.shape[1]} columns, tensor mode has {a.shape[2]}")
+    # The non-empty rows of B, swept by every fiber of A.
+    row_ids = np.flatnonzero(np.diff(b.indptr))
+    row_keys = [b.row_keys(k) for k in row_ids]
+    row_vals = [b.row_vals(k) for k in row_ids]
+    granules = [("brow", id(b), k) for k in row_ids.tolist()]
     coords, vals = [], []
     offset = 0
     for i, j, l_keys, l_vals in a.fibers():
@@ -33,16 +40,12 @@ def ttm(a: CSFTensor, b: SparseMatrix,
             l_keys, l_vals, ("csf-chunk", id(a), offset // 16))
         offset += int(l_keys.size)
         machine.scalar(LOOP_INSTRS)
-        for k in range(b.shape[0]):
-            if b.row_nnz(k) == 0:
-                continue
-            b_row = machine.load_values(
-                b.row_keys(k), b.row_vals(k), ("brow", id(b), k), priority=1)
-            value = machine.vinter(fiber, b_row, "MAC")
-            machine.scalar(LOOP_INSTRS)
-            if value != 0.0:
-                coords.append((i, j, k))
-                vals.append(value)
+        values = machine.vinter_sweep(fiber, row_keys, row_vals, granules,
+                                      priority=1)
+        machine.scalar(LOOP_INSTRS * len(row_keys))
+        nz = np.flatnonzero(values)
+        coords.extend((i, j, k) for k in row_ids[nz].tolist())
+        vals.extend(values[nz].tolist())
     shape = (a.shape[0], a.shape[1], b.shape[0])
     coords_arr = np.asarray(coords, dtype=np.int64).reshape(-1, 3)
     return CSFTensor.from_coo(shape, coords_arr, np.asarray(vals), name="Z")

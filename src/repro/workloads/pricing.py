@@ -63,10 +63,12 @@ def sweep_cycle_table(trace, sc_config, field_name: str,
                       values) -> dict:
     """``{value: total_cycles}`` re-pricing one trace along one axis.
 
-    The single sweep-pricing helper: the Figure 12 SU sweep, the
-    Figure 13 bandwidth sweep, and every :mod:`repro.explore` axis all
-    go through it, each design point derived from ``sc_config`` via
-    :func:`~repro.arch.config.config_variant`.
+    Prices the fixed Figure 12 SU sweep and Figure 13 bandwidth sweep
+    of every GPM run, each design point derived from ``sc_config`` via
+    :func:`~repro.arch.config.config_variant`.  :mod:`repro.explore`
+    builds its own grid points (``grid_points``/``config_variant``) and
+    reaches this helper only through those two tables of
+    :func:`price_run`.
     """
     return {
         value: SparseCoreModel(config_variant(sc_config, field_name, value))

@@ -1,5 +1,10 @@
 """Tests for the LRU cache-hierarchy model."""
 
+from collections import OrderedDict
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.arch.config import CacheConfig
 from repro.arch.memory import CacheHierarchy, LruBytes
 from repro.obs import Counters
@@ -112,3 +117,46 @@ class TestCacheHierarchy:
         h.access(("v", 1), 64)
         h.reset()
         assert h.access(("v", 1), 64) == h.config.dram_latency
+
+
+class _PopReinsertLru:
+    """The reference LRU: every access pops the key and re-inserts it."""
+
+    def __init__(self, capacity_bytes):
+        self.capacity = capacity_bytes
+        self._entries = OrderedDict()
+        self._used = 0
+
+    def access(self, key, nbytes):
+        entry = self._entries.pop(key, None)
+        if entry is not None:
+            self._used -= entry
+        nbytes = min(nbytes, self.capacity)
+        while self._used + nbytes > self.capacity and self._entries:
+            _, evicted = self._entries.popitem(last=False)
+            self._used -= evicted
+        self._entries[key] = nbytes
+        self._used += nbytes
+        return entry is not None
+
+
+#: (key, bytes) accesses over a few keys, so keys repeat and a hit may
+#: change a granule's size; 0 bytes and more than the capacity included.
+_ACCESSES = st.lists(
+    st.tuples(st.integers(0, 6),
+              st.one_of(st.sampled_from([0, 1, 40, 100, 101, 500]),
+                        st.integers(0, 130))),
+    max_size=60)
+
+
+class TestLruBytesAgainstReference:
+    @settings(max_examples=200, deadline=None)
+    @given(capacity=st.sampled_from([0, 1, 64, 100, 256]),
+           accesses=_ACCESSES)
+    def test_same_hits_bytes_and_order(self, capacity, accesses):
+        lru, ref = LruBytes(capacity), _PopReinsertLru(capacity)
+        for key, nbytes in accesses:
+            assert lru.access(("g", key), nbytes) == \
+                ref.access(("g", key), nbytes)
+            assert lru.used_bytes == ref._used
+            assert list(lru._entries.items()) == list(ref._entries.items())

@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.arch import CpuModel, SparseCoreModel
-from repro.arch.trace import NO_BURST, OpKind
+from repro.arch.trace import _ARRAY_FIELDS, _SCALAR_FIELDS, NO_BURST, OpKind
 from repro.errors import StreamTypeFault
 from repro.graph import CSRGraph
 from repro.machine import Machine, StreamOperand
+from repro.obs.probe import Probe
 
 
 def keys(*xs):
@@ -148,3 +150,174 @@ class TestAppRunHelpers:
         assert sc.machine == "sparsecore"
         assert run.speedup() == pytest.approx(sc.speedup_over(cpu))
         assert run.speedup() > 1.0
+
+
+# -- vinter_sweep against the per-op loop ---------------------------------
+
+
+def _per_op_sweep(machine, a, keys, vals, granules, priority=0):
+    """The reference: one ``load_values`` and one ``vinter`` per pair."""
+    return np.array([
+        machine.vinter(a, machine.load_values(k, v, g, priority), "MAC")
+        for k, v, g in zip(keys, vals, granules)], dtype=np.float64)
+
+
+def _lrus(machine):
+    cpu = machine.transfer.cpu_hierarchy
+    sc = machine.transfer.sc_hierarchy
+    return (cpu._l1, cpu._l2, cpu._l3, sc._l2, sc._l3,
+            machine.transfer.scratchpad._lru)
+
+
+def _run_plan(plan, sweep, probe=None):
+    """Run every sweep of ``plan`` on a fresh machine through ``sweep``.
+
+    A plan step is ``(a, reuse_a, operands, priority)``: ``a`` is
+    ``(keys, vals, granule)``, loaded from memory when ``granule`` is
+    set (so it carries a pending charge) and an on-chip intermediate
+    otherwise; ``reuse_a`` sweeps the previous step's operand again."""
+    machine = Machine(name="sweep", record_lengths=True, probe=probe)
+    outputs, a = [], None
+    for (a_keys, a_vals, a_granule), reuse_a, operands, priority in plan:
+        if a is None or not reuse_a:
+            a = (StreamOperand(a_keys, a_vals) if a_granule is None
+                 else machine.load_values(a_keys, a_vals, a_granule))
+        b_keys = [k for k, _, _ in operands]
+        b_vals = [v for _, v, _ in operands]
+        granules = [g for _, _, g in operands]
+        outputs.append(sweep(machine, a, b_keys, b_vals, granules, priority))
+    return machine, outputs
+
+
+def _assert_same_recording(plan, probes=(None, None)):
+    got, got_out = _run_plan(plan, Machine.vinter_sweep, probes[0])
+    want, want_out = _run_plan(plan, _per_op_sweep, probes[1])
+    for out, ref in zip(got_out, want_out):
+        assert out.dtype == ref.dtype
+        assert out.tobytes() == ref.tobytes()
+    trace, ref_trace = got.trace.freeze(), want.trace.freeze()
+    for field in _ARRAY_FIELDS:
+        col, ref = getattr(trace, field), getattr(ref_trace, field)
+        assert col.dtype == ref.dtype, field
+        assert col.tobytes() == ref.tobytes(), field
+    for field in _SCALAR_FIELDS:
+        assert getattr(trace, field) == getattr(ref_trace, field), field
+    assert got.length_samples == want.length_samples
+    for lru, ref in zip(_lrus(got), _lrus(want)):
+        assert list(lru._entries.items()) == list(ref._entries.items())
+        assert lru.used_bytes == ref.used_bytes
+    return got, want
+
+
+def _stream(rng, universe, density):
+    keys = np.flatnonzero(rng.random(universe) < density).astype(np.int64)
+    vals = rng.standard_normal(keys.size) * 10.0 ** rng.integers(-3, 4)
+    vals[rng.random(keys.size) < 0.1] = 0.0
+    return keys, vals
+
+
+#: Key universes: 3000 dense keys are 24,000 bytes, more than the
+#: 16 KiB scratchpad; 300 and 3000 give >= 8 and >= 128 matches (the
+#: block sizes of numpy's pairwise summation).
+_UNIVERSES = (1, 6, 40, 300, 3000)
+_DENSITIES = (0.0, 0.05, 0.5, 1.0)
+_GRANULES = (None, ("b", 0), ("b", 1), ("b", 2), ("b", 3))
+
+
+@st.composite
+def _plans(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    universe = draw(st.sampled_from(_UNIVERSES))
+    plan = []
+    for step in range(draw(st.integers(1, 3))):
+        a = (*_stream(rng, universe, draw(st.sampled_from(_DENSITIES))),
+             draw(st.sampled_from((None, ("a", 0), ("a", step)))))
+        operands = [
+            (*_stream(rng, universe, draw(st.sampled_from(_DENSITIES))),
+             draw(st.sampled_from(_GRANULES)))
+            for _ in range(draw(st.integers(0, 5)))]
+        plan.append((a, step > 0 and draw(st.booleans()), operands,
+                     draw(st.sampled_from((0, 1)))))
+    return plan
+
+
+def _plan(seed, universe, a_density, b_densities, *, a_granule=("a", 0),
+          priority=0, steps=1):
+    rng = np.random.default_rng(seed)
+    plan = []
+    for step in range(steps):
+        a = (*_stream(rng, universe, a_density), a_granule)
+        operands = [(*_stream(rng, universe, d), ("b", j))
+                    for j, d in enumerate(b_densities)]
+        plan.append((a, step > 0, operands, priority))
+    return plan
+
+
+class TestVinterSweep:
+    """``vinter_sweep`` records exactly what the per-op loop records."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(plan=_plans())
+    def test_matches_per_op_loop(self, plan):
+        _assert_same_recording(plan)
+
+    @pytest.mark.parametrize("case", [
+        dict(),                                     # a with a pending charge
+        dict(a_granule=None),                       # a without vgranule
+        dict(steps=3),                              # a reused, no pending
+        dict(a_density=0.0),                        # empty a
+        dict(b_densities=(0.0, 0.0, 1.0)),          # zero-length operands
+        dict(universe=3000, priority=1),            # > scratchpad
+        dict(priority=1, steps=2),
+    ])
+    def test_edge_cases(self, case):
+        args = {"seed": 7, "universe": 40, "a_density": 0.5,
+                "b_densities": (0.5, 0.05, 1.0, 0.0)}
+        _assert_same_recording(_plan(**{**args, **case}))
+
+    def test_covers_pairwise_summation_blocks(self):
+        plan = _plan(7, 3000, 0.5, (0.5, 0.05, 0.005, 1.0))
+        got, _ = _assert_same_recording(plan)
+        matches = got.trace.freeze().flop_pairs
+        assert matches.max() >= 128
+        assert ((matches >= 8) & (matches < 128)).any()
+
+    def test_zero_matches(self):
+        a = (keys(1, 3), np.array([2.0, 3.0]), ("a", 0))
+        operands = [(keys(0, 2, 4), np.ones(3), ("b", j)) for j in range(3)]
+        got, _ = _assert_same_recording([(a, False, operands, 1)])
+        assert got.trace.freeze().flop_pairs.tolist() == [0, 0, 0]
+
+    def test_empty_sweep_leaves_pending_charge(self):
+        m = Machine()
+        a = m.load_values(keys(1, 3), np.ones(2), ("a", 0))
+        pending = a.pending_cpu
+        assert m.vinter_sweep(a, [], [], []).size == 0
+        assert a.pending_cpu == pending > 0
+        m.vinter_sweep(a, [keys(2), keys(4)], [np.ones(1)] * 2, [None, None])
+        assert m.trace.freeze().cpu_mem.tolist() == [pending, 0.0]
+        assert a.pending_cpu == 0.0
+
+    def test_collecting_probe(self):
+        probes = (Probe.collecting(), Probe.collecting())
+        _assert_same_recording(_plan(5, 300, 0.5, (0.5, 0.0, 1.0),
+                                     priority=1, steps=2), probes)
+        assert probes[0].counters.flat() == probes[1].counters.flat()
+        assert probes[0].counters.get("machine.ops.vinter") == 6
+        assert probes[0].tracer.events == probes[1].tracer.events
+
+    def test_values_and_counts(self):
+        m = Machine()
+        a = m.load_values(keys(1, 3, 7), np.array([45.0, 21.0, 13.0]))
+        out = m.vinter_sweep(
+            a, [keys(2, 5, 7), keys(), keys(1, 3)],
+            [np.array([14.0, 36.0, 2.0]), np.empty(0), np.array([1.0, 2.0])],
+            [("b", 0), ("b", 1), ("b", 2)])
+        assert out.tolist() == [26.0, 0.0, 87.0]
+        assert m.trace.freeze().flop_pairs.tolist() == [1, 0, 2]
+
+    def test_requires_values(self):
+        m = Machine()
+        with pytest.raises(StreamTypeFault):
+            m.vinter_sweep(m.load(keys(1)), [keys(1)], [np.ones(1)],
+                           [("b", 0)])
