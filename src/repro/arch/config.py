@@ -292,7 +292,7 @@ def _config_variant(cfg: SparseCoreConfig, _field_types: tuple,
 class MachineConfigs:
     """The machine pair one priced run compares: CPU baseline + SparseCore.
 
-    This bundle is what flows through ``run_workload(..., config=)``
+    This bundle is what flows through ``price_run(..., configs=)``
     and the explorer; its :meth:`fingerprint` names every priced
     result (each sweep row carries it) while the *trace* cache key
     stays config-free — traces are recording artifacts, so one cached

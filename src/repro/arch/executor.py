@@ -13,6 +13,13 @@ general-purpose core) reads results out of it.  This is the engine the
 ISA-level tests and the ``isa_programming`` example drive; full
 applications use the higher-level recording machine in
 :mod:`repro.machine`, which skips per-instruction bookkeeping.
+
+Both record into the same deferred-analysis
+:class:`~repro.record.columnar.ColumnarTrace`, which holds each op's
+key arrays by reference until it analyses them.  Stream operands are
+views of the arrays registered in :class:`SimMemory`, so those arrays
+must not change while a trace is open — the stream contract the
+recording machine relies on too.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ from repro.arch.simmem import SimMemory
 from repro.arch.smt import StreamMappingTable
 from repro.arch.sparsecore import SparseCoreModel
 from repro.arch.stream_regs import GraphFormatRegisters, StreamRegisterFile
-from repro.arch.trace import CycleReport, OpKind, Trace
+from repro.arch.trace import CycleReport, OpKind
 from repro.arch.transfer import TransferModel
 from repro.errors import (
     ArchFault,
@@ -36,8 +43,8 @@ from repro.isa.assembler import is_register
 from repro.isa.program import Program
 from repro.isa.spec import EOS, Instruction, Opcode
 from repro.obs.probe import NULL_PROBE, Probe
+from repro.record.columnar import ColumnarTrace
 from repro.streams import ops
-from repro.streams.runstats import analyze_pair
 from repro.streams.stream import KEY_BYTES
 
 _VALUE_BYTES = 8
@@ -62,7 +69,8 @@ class StreamExecutor:
                                   self.config.scache_slot_keys,
                                   counters=counters)
         self.transfer = TransferModel(self.config, counters)
-        self.trace = Trace("executor")
+        self.trace = ColumnarTrace("executor",
+                                   width=self.config.su_buffer_width)
         self.regs: dict[str, float] = {}
         self.instructions_executed = 0
         # Per stream register: live key/value data and pending memory
@@ -345,9 +353,9 @@ class StreamExecutor:
                  if "bound" in instr.spec.operand_names else ops.UNBOUNDED)
         a = self._stream_keys(sid_a)
         b = self._stream_keys(sid_b)
-        stats = analyze_pair(a, b, bound, width=self.config.su_buffer_width)
         cpu_mem, sc_mem = self._pop_pending_mem(sid_a, sid_b)
-        self.trace.add_op(kind, stats, cpu_mem=cpu_mem, sc_mem=sc_mem)
+        self.trace.add_op_keys(kind, a, b, bound, cpu_mem=cpu_mem,
+                               sc_mem=sc_mem)
         if counting:
             self.write_reg(instr.operand("dst"), int(fn(a, b, bound)))
         else:
@@ -392,8 +400,7 @@ class StreamExecutor:
         b_keys = self._stream_keys(sid_b)
         a_vals = self._stream_values(sid_a)
         b_vals = self._stream_values(sid_b)
-        stats = analyze_pair(a_keys, b_keys,
-                             width=self.config.su_buffer_width)
+        n_matches = ops.intersect_count(a_keys, b_keys)
         result = ops.vinter(a_keys, a_vals, b_keys, b_vals, str(imm))
         cpu_mem, sc_mem = self._pop_pending_mem(sid_a, sid_b)
         # Matched values are gathered through the normal hierarchy
@@ -401,15 +408,16 @@ class StreamExecutor:
         for sid in (sid_a, sid_b):
             entry = self._entry(sid)
             reg = self.sregs[entry.sreg]
-            if reg.has_values and stats.n_matches:
+            if reg.has_values and n_matches:
                 granule = ("val", self.memory.array_id(reg.value_addr),
                            reg.value_addr)
                 cost = self.transfer.load_values(
-                    granule, stats.n_matches * _VALUE_BYTES)
+                    granule, n_matches * _VALUE_BYTES)
                 cpu_mem += cost.cpu_cycles
                 sc_mem += cost.sc_cycles
-        self.trace.add_op(OpKind.VINTER, stats, cpu_mem=cpu_mem,
-                          sc_mem=sc_mem, flop_pairs=stats.n_matches)
+        self.trace.add_op_keys(OpKind.VINTER, a_keys, b_keys,
+                               cpu_mem=cpu_mem, sc_mem=sc_mem,
+                               flop_pairs=n_matches)
         self.write_reg(instr.operand("dst"), float(result))
 
     def _s_vmerge(self, instr: Instruction) -> None:
@@ -422,13 +430,12 @@ class StreamExecutor:
         b_keys = self._stream_keys(sid_b)
         a_vals = self._stream_values(sid_a)
         b_vals = self._stream_values(sid_b)
-        stats = analyze_pair(a_keys, b_keys,
-                             width=self.config.su_buffer_width)
         out_keys, out_vals = ops.vmerge(scale_a, a_keys, a_vals,
                                         scale_b, b_keys, b_vals)
         cpu_mem, sc_mem = self._pop_pending_mem(sid_a, sid_b)
-        self.trace.add_op(OpKind.VMERGE, stats, cpu_mem=cpu_mem,
-                          sc_mem=sc_mem, flop_pairs=int(out_keys.size))
+        self.trace.add_op_keys(OpKind.VMERGE, a_keys, b_keys,
+                               cpu_mem=cpu_mem, sc_mem=sc_mem,
+                               flop_pairs=int(out_keys.size))
         sreg = self._define_stream(sid_out, out_keys, out_vals,
                                    pred0=sid_a, pred1=sid_b,
                                    exclude=frozenset((sid_a, sid_b)))
@@ -472,14 +479,12 @@ class StreamExecutor:
             nbr_addr = self.memory.element_address(edges_base, lo)
             nbrs = (self.memory.view(nbr_addr, hi - lo)
                     if hi > lo else np.empty(0, dtype=np.int64))
-            stats = analyze_pair(s, nbrs, bound=s_i,
-                                 width=self.config.su_buffer_width)
-            total += stats.n_matches
+            total += ops.intersect_count(s, nbrs, s_i)
             granule = ("key", self.memory.array_id(edges_base), nbr_addr)
             cost = self.transfer.load_stream(granule,
                                              (hi - lo) * KEY_BYTES, 0)
-            self.trace.add_op(
-                OpKind.INTERSECT, stats, burst=burst, nested=True,
+            self.trace.add_op_keys(
+                OpKind.INTERSECT, s, nbrs, s_i, burst=burst, nested=True,
                 cpu_mem=cost.cpu_cycles + cpu_pend,
                 sc_mem=cost.sc_cycles + sc_pend,
             )

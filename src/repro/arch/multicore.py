@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from repro.arch.sparsecore import SparseCoreModel
-from repro.arch.trace import FrozenTrace, Trace
+from repro.arch.trace import COLUMNS, FrozenTrace, Trace
 from repro.obs.counters import NULL_COUNTERS
 
 
@@ -65,12 +65,7 @@ class MultiCoreModel:
                   share: float) -> FrozenTrace:
         return replace(
             t,
-            kind=t.kind[idx], su_cycles=t.su_cycles[idx],
-            cpu_steps=t.cpu_steps[idx], dir_changes=t.dir_changes[idx],
-            eff_elems=t.eff_elems[idx], out_len=t.out_len[idx],
-            flop_pairs=t.flop_pairs[idx], burst=t.burst[idx],
-            nested=t.nested[idx], cpu_mem=t.cpu_mem[idx],
-            sc_mem=t.sc_mem[idx],
+            **{name: getattr(t, name)[idx] for name, _ in COLUMNS},
             shared_scalar_instrs=int(t.shared_scalar_instrs * share),
             cpu_only_scalar_instrs=int(t.cpu_only_scalar_instrs * share),
             sc_only_scalar_instrs=int(t.sc_only_scalar_instrs * share),

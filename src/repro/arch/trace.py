@@ -3,17 +3,20 @@
 An application kernel runs **once** against a recording context
 (:mod:`repro.machine`) and produces a trace: one record per stream
 operation plus aggregate scalar-work counters, frozen into a
-:class:`FrozenTrace` of numpy columns.  Every machine model (CPU,
-SparseCore at any SU count / bandwidth, and the accelerator baselines)
-then costs the same trace — the methodology the paper itself uses for
-its baselines (Section 6.1).
+:class:`FrozenTrace` of numpy columns (:data:`COLUMNS` gives their
+names and dtypes).  Every machine model (CPU, SparseCore at any SU
+count / bandwidth, and the accelerator baselines) then costs the same
+trace — the methodology the paper itself uses for its baselines
+(Section 6.1).
 
-The recording :class:`~repro.machine.context.Machine` records into a
+Both recording contexts — the
+:class:`~repro.machine.context.Machine` and the instruction-level
+:class:`~repro.arch.executor.StreamExecutor` — record into a
 :class:`~repro.record.columnar.ColumnarTrace`, which analyses its ops
 in batches.  :class:`Trace` here takes one pre-analysed
-:class:`~repro.streams.runstats.OpStats` per op instead: the
-instruction-level executor records through it, and it is the per-op
-reference the batched recorder is tested against.
+:class:`~repro.streams.runstats.OpStats` per op instead; nothing in the
+package records through it.  It is the per-op reference the batched
+recorder is tested against.
 """
 
 from __future__ import annotations
@@ -39,12 +42,23 @@ class OpKind(enum.IntEnum):
 #: Trace burst id marking "not part of any burst" (a singleton op).
 NO_BURST = -1
 
-
-def su_cycles_for(kind: OpKind, stats: OpStats) -> int:
-    """SU cycles of ``stats`` under ``kind``'s emission constraints."""
-    if kind in (OpKind.INTERSECT, OpKind.VINTER):
-        return stats.su_cycles_intersect
-    return stats.su_cycles_submerge
+#: The per-op columns of a frozen trace, in storage order, with dtypes.
+COLUMNS = (
+    ("kind", np.int8),
+    ("su_cycles", np.int64),
+    ("cpu_steps", np.int64),
+    ("dir_changes", np.int64),
+    ("eff_elems", np.int64),
+    ("out_len", np.int64),
+    ("flop_pairs", np.int64),
+    ("burst", np.int64),
+    ("nested", np.bool_),
+    ("cpu_mem", np.float64),
+    ("sc_mem", np.float64),
+)
+_ARRAY_FIELDS = tuple(name for name, _ in COLUMNS)
+_SCALAR_FIELDS = ("shared_scalar_instrs", "cpu_only_scalar_instrs",
+                  "sc_only_scalar_instrs")
 
 
 class Trace:
@@ -96,9 +110,8 @@ class Trace:
     ) -> None:
         self._frozen = None
         k = int(kind)
-        # Inlined kind dispatch (cf. su_cycles_for / OpStats.out_len):
-        # INTERSECT/VINTER emit one match per cycle, SUBTRACT/MERGE/
-        # VMERGE run at window rate.
+        # Kind dispatch (cf. OpStats.out_len): INTERSECT/VINTER emit one
+        # match per cycle, SUBTRACT/MERGE/VMERGE run at window rate.
         if k == 0 or k == 3:  # INTERSECT, VINTER
             su = stats.su_cycles_intersect
             out_len = stats.n_matches
@@ -133,29 +146,10 @@ class Trace:
     def freeze(self) -> "FrozenTrace":
         """Snapshot into numpy arrays for the cost models (cached)."""
         if self._frozen is None:
-            if self._rows:
-                cols = tuple(zip(*self._rows))
-            else:
-                cols = ((),) * 11
-            (kind, su_cycles, cpu_steps, dir_changes, eff_elems, out_len,
-             flop_pairs, burst, nested, cpu_mem, sc_mem) = cols
-            self._frozen = FrozenTrace(
-                name=self.name,
-                kind=np.asarray(kind, dtype=np.int8),
-                su_cycles=np.asarray(su_cycles, dtype=np.int64),
-                cpu_steps=np.asarray(cpu_steps, dtype=np.int64),
-                dir_changes=np.asarray(dir_changes, dtype=np.int64),
-                eff_elems=np.asarray(eff_elems, dtype=np.int64),
-                out_len=np.asarray(out_len, dtype=np.int64),
-                flop_pairs=np.asarray(flop_pairs, dtype=np.int64),
-                burst=np.asarray(burst, dtype=np.int64),
-                nested=np.asarray(nested, dtype=bool),
-                cpu_mem=np.asarray(cpu_mem, dtype=np.float64),
-                sc_mem=np.asarray(sc_mem, dtype=np.float64),
-                shared_scalar_instrs=self.shared_scalar_instrs,
-                cpu_only_scalar_instrs=self.cpu_only_scalar_instrs,
-                sc_only_scalar_instrs=self.sc_only_scalar_instrs,
-            )
+            cols = zip(*self._rows) if self._rows else ((),) * len(COLUMNS)
+            self._frozen = FrozenTrace.from_columns(
+                self.name, cols, self.shared_scalar_instrs,
+                self.cpu_only_scalar_instrs, self.sc_only_scalar_instrs)
         return self._frozen
 
     def stream_lengths(self) -> np.ndarray:
@@ -164,13 +158,6 @@ class Trace:
 
     def __repr__(self) -> str:
         return f"Trace({self.name!r}, ops={self.num_ops})"
-
-
-_ARRAY_FIELDS = ("kind", "su_cycles", "cpu_steps", "dir_changes",
-                 "eff_elems", "out_len", "flop_pairs", "burst", "nested",
-                 "cpu_mem", "sc_mem")
-_SCALAR_FIELDS = ("shared_scalar_instrs", "cpu_only_scalar_instrs",
-                  "sc_only_scalar_instrs")
 
 
 @dataclass(frozen=True)
@@ -196,6 +183,16 @@ class FrozenTrace:
     #: use; derived data, so never saved, compared or shown
     _segments: dict = field(default_factory=dict, init=False, repr=False,
                             compare=False)
+
+    @classmethod
+    def from_columns(cls, name: str, columns, *scalar_counts: int
+                     ) -> "FrozenTrace":
+        """Build a trace from its :data:`COLUMNS`, in order (any
+        sequences; arrays of the right dtype are kept, not copied), and
+        the three scalar instruction counts."""
+        return cls(name, *(np.asarray(col, dtype=dtype)
+                           for col, (_, dtype) in zip(columns, COLUMNS)),
+                   *scalar_counts)
 
     @property
     def num_ops(self) -> int:

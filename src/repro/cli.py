@@ -71,7 +71,9 @@ Commands:
 Workloads and datasets resolve through :mod:`repro.workloads` on every
 subcommand; unknown names exit with status 2 and a one-line message.
 Every command that records does so through the one recorder,
-:class:`~repro.record.columnar.ColumnarTrace` (see docs/performance.md).
+:class:`~repro.record.columnar.ColumnarTrace` (see docs/performance.md),
+``profile`` and the ISA executor behind ``difftest`` included: a
+profiled run's counters and timeline come from its frozen trace.
 """
 
 from __future__ import annotations

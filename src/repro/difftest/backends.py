@@ -306,7 +306,7 @@ def run_machine(case: StreamCase, machine=None) -> list:
         slots.append(out)
         recorded.append((first, machine.trace.num_ops, out, value))
 
-    out_len = machine.trace.freeze().out_len
+    out_len = machine.freeze().out_len
     results = []
     for j, (node, (first, end, out, value)) in enumerate(
             zip(case.nodes, recorded)):
@@ -450,7 +450,7 @@ def _gpm_plan(case: GpmCase, use_nested: bool):
                                use_nested=use_nested)
     machine = Machine(name=f"difftest-{case.seed}")
     count = compiled.count(case.graph(), machine)
-    machine.trace.freeze()  # run the deferred batch analysis end to end
+    machine.freeze()  # run the deferred batch analysis end to end
     return ("count", int(count))
 
 

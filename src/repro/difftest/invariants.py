@@ -7,6 +7,9 @@ Functional agreement (the oracle) says every backend computes the same
   (:func:`repro.streams.runstats.analyze_pair`) equal the stepped
   :class:`~repro.arch.stream_unit.StreamUnit` simulation, cycle for
   cycle, for intersection and for the windowed subtract/merge path;
+* **segment agreement** — so does the batch analyser every recorded op
+  goes through (:func:`repro.record.columnar.analyze_segments`), fed
+  the bound-truncated keys the recorder feeds it;
 * **monotonicity** — truncating an operand (a prefix of its keys)
   never increases simulated SU cycles: less data can't be slower;
 * **S-Cache bookkeeping** — demand refills match the slot arithmetic
@@ -27,7 +30,8 @@ from repro.arch.scache import StreamCache
 from repro.arch.stream_unit import StreamUnit
 from repro.arch.transfer import TransferModel
 from repro.difftest.generator import CaseGenerator, Sizes, derive_seed
-from repro.streams.runstats import UNBOUNDED, analyze_pair
+from repro.record.columnar import analyze_segments
+from repro.streams.runstats import UNBOUNDED, analyze_pair, truncate_bound
 
 
 @dataclass
@@ -61,48 +65,52 @@ def _operand_pairs(case):
 
 
 def check_stream_case(case) -> list[InvariantViolation]:
-    """Bracket + monotonicity invariants over one case's operands."""
+    """Bracket, segment and monotonicity invariants over one case's
+    operands."""
     violations = []
     su = StreamUnit()
 
     def bad(name, detail):
         violations.append(InvariantViolation(name, case.seed, detail))
 
-    for a, b, bound in _operand_pairs(case):
-        stats = analyze_pair(a, b, bound)
-        sim_i = su.run(a, b, "intersect", bound=bound)
-        if sim_i.cycles != stats.su_cycles_intersect:
-            bad("bracket.intersect",
-                f"sim={sim_i.cycles} analytic={stats.su_cycles_intersect} "
-                f"a={a.tolist()} b={b.tolist()} bound={bound}")
-        for kind in ("subtract", "merge"):
-            sim = su.run(a, b, kind, bound=bound if kind == "subtract"
-                         else UNBOUNDED)
-            analytic = analyze_pair(
-                a, b, bound if kind == "subtract" else UNBOUNDED
-            ).su_cycles_submerge
-            if sim.cycles != analytic:
-                bad(f"bracket.{kind}",
-                    f"sim={sim.cycles} analytic={analytic} "
-                    f"a={a.tolist()} b={b.tolist()} bound={bound}")
-        # Monotonicity: a prefix of either operand can't cost more.
-        # Subtract/merge pay windowed ceil(L/W) per run, and cutting an
-        # operand can split one run at the cut point, so they get a
-        # one-cycle ceiling allowance; intersection is strict (a match
-        # run only ever gets cheaper when its partner keys vanish).
+    pairs = _operand_pairs(case)
+    # One batch per bound mode, as the recorder analyses its ops: the
+    # bounded batch prices intersect and subtract, the unbounded merge.
+    bounded = analyze_segments(
+        [truncate_bound(a, bound) for a, _, bound in pairs],
+        [truncate_bound(b, bound) for _, b, bound in pairs])
+    unbounded = analyze_segments([a for a, _, _ in pairs],
+                                 [b for _, b, _ in pairs])
+    segments = {"intersect": bounded[5], "subtract": bounded[6],
+                "merge": unbounded[6]}
+    for i, (a, b, bound) in enumerate(pairs):
+        stats, merged = analyze_pair(a, b, bound), analyze_pair(a, b)
+        analytic = {"intersect": stats.su_cycles_intersect,
+                    "subtract": stats.su_cycles_submerge,
+                    "merge": merged.su_cycles_submerge}
+        operands = f"a={a.tolist()} b={b.tolist()} bound={bound}"
         for kind in ("intersect", "subtract", "merge"):
+            kind_bound = UNBOUNDED if kind == "merge" else bound
+            sim = su.run(a, b, kind, bound=kind_bound).cycles
+            for check, model in (("bracket", analytic[kind]),
+                                 ("segments", int(segments[kind][i]))):
+                if sim != model:
+                    bad(f"{check}.{kind}",
+                        f"sim={sim} {check}={model} {operands}")
+            # Monotonicity: a prefix of either operand can't cost more.
+            # Subtract/merge pay windowed ceil(L/W) per run, and cutting
+            # an operand can split one run at the cut point, so they get
+            # a one-cycle ceiling allowance; intersection is strict (a
+            # match run only ever gets cheaper when its partner keys
+            # vanish).
             slack = 0 if kind == "intersect" else 1
-            full = su.run(a, b, kind, bound=bound if kind != "merge"
-                          else UNBOUNDED).cycles
             for half_a, half_b in ((a[: a.size // 2], b),
                                    (a, b[: b.size // 2])):
-                part = su.run(half_a, half_b, kind,
-                              bound=bound if kind != "merge"
-                              else UNBOUNDED).cycles
-                if part > full + slack:
+                part = su.run(half_a, half_b, kind, bound=kind_bound).cycles
+                if part > sim + slack:
                     bad(f"monotone.{kind}",
-                        f"prefix cycles {part} > full {full} + {slack} "
-                        f"a={a.tolist()} b={b.tolist()} bound={bound}")
+                        f"prefix cycles {part} > full {sim} + {slack} "
+                        f"{operands}")
     return violations
 
 

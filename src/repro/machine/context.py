@@ -9,6 +9,10 @@ functional result and appends one record to the trace; stream loads
 charge the paired CPU/SparseCore memory models at the moment the data
 would move.  ``vinter_sweep`` records a whole row of ``S_VREAD`` +
 ``S_VINTER`` pairs in one call, exactly as the per-pair calls would.
+Every op is recorded through
+:meth:`~repro.record.columnar.ColumnarTrace.add_op_keys`, probed or
+not; :meth:`Machine.freeze` freezes the trace and, under a probe,
+derives the op counters and the event timeline from the frozen columns.
 
 Kernels annotate structure the hardware exploits:
 
@@ -29,13 +33,13 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from repro.arch.config import SparseCoreConfig
-from repro.arch.trace import NO_BURST, OpKind, su_cycles_for
+from repro.arch.trace import NO_BURST, FrozenTrace, OpKind
 from repro.arch.transfer import TransferModel
 from repro.errors import StreamTypeFault
 from repro.obs.probe import NULL_PROBE, Probe
 from repro.record.columnar import ColumnarTrace
 from repro.streams import ops
-from repro.streams.runstats import UNBOUNDED, analyze_pair
+from repro.streams.runstats import UNBOUNDED
 from repro.streams.stream import KEY_BYTES
 
 _VALUE_BYTES = 8
@@ -48,6 +52,9 @@ CPU_NESTED_LOOP_INSTRS = 8
 #: Scalar instructions both machines spend setting up one stream op
 #: (operand addresses, call overhead of the generated code).
 OP_SETUP_INSTRS = 4
+
+#: Tracer span names per :class:`OpKind` value.
+_OP_NAMES = tuple(kind.name.lower() for kind in OpKind)
 
 
 @dataclass(slots=True)
@@ -108,25 +115,31 @@ class AppRun:
 class Machine:
     """Recording machine: functional results + cost trace."""
 
-    __slots__ = ("config", "obs", "trace", "transfer", "_burst", "_width",
-                 "record_lengths", "length_samples", "_clock",
-                 "_append_length", "_defer")
+    __slots__ = ("config", "obs", "trace", "transfer", "_burst",
+                 "record_lengths", "length_samples", "_observed", "_marks",
+                 "_clocks", "_append_length", "_defer")
 
     def __init__(self, config: SparseCoreConfig | None = None,
                  name: str = "run", record_lengths: bool = False,
                  probe: Probe | None = None):
         self.config = config or SparseCoreConfig()
         self.obs = probe or NULL_PROBE
-        self._width = self.config.su_buffer_width
-        self.trace = ColumnarTrace(name, width=self._width)
+        self.trace = ColumnarTrace(name, width=self.config.su_buffer_width)
         self.transfer = TransferModel(self.config, self.obs.counters)
         self._burst = NO_BURST
         self.record_lengths = record_lengths
         #: operand-length samples for the Figure 14 CDFs
         self.length_samples: list[int] = []
+        #: ops :meth:`freeze` has already counted and traced
+        self._observed = 0
+        #: fetch instants and burst spans awaiting the timeline replay,
+        #: as (op index, emit) in the order they happened; ``emit`` takes
+        #: the clock array
+        self._marks: list[tuple] = []
         #: tracer time axis: a sequential model-cycle clock (ops advance
-        #: it by their SU time, stalls by their charged cycles)
-        self._clock = 0.0
+        #: it by their SU time, stalls by their charged cycles); entry i
+        #: is the clock before traced op i, the last entry the clock now
+        self._clocks = np.zeros(1)
         # Pre-bound hot-path methods: one op records through a single
         # bound-method call, not repeated attribute chases.  The trace
         # defers merge-run analysis: it takes key arrays, not OpStats.
@@ -144,23 +157,12 @@ class Machine:
         on-chip (an intermediate result)."""
         operand = StreamOperand(keys)
         if granule is not None:
-            cost = self.transfer.load_stream(
-                granule, keys.size * KEY_BYTES, priority)
+            nbytes = keys.size * KEY_BYTES
+            cost = self.transfer.load_stream(granule, nbytes, priority)
             operand.pending_cpu = cost.cpu_cycles
             operand.pending_sc = cost.sc_cycles
             if self.obs.enabled:
-                counters = self.obs.counters
-                if counters.enabled:
-                    counters.inc("machine.stream_loads")
-                    counters.add("machine.stream_bytes",
-                                 keys.size * KEY_BYTES)
-                tracer = self.obs.tracer
-                if tracer.enabled:
-                    tracer.instant("fetch " + granule[0], "fetch",
-                                   self._clock, tid=1,
-                                   granule=repr(granule),
-                                   bytes=keys.size * KEY_BYTES,
-                                   scratchpad_hit=cost.scratchpad_hit)
+                self._observe_load(granule, nbytes, cost.scratchpad_hit)
         return operand
 
     def load_values(self, keys: np.ndarray, values: np.ndarray,
@@ -201,22 +203,22 @@ class Machine:
     def burst(self) -> Iterator[int]:
         """Bracket independent operations (SU-parallel work)."""
         prev = self._burst
-        self._burst = self.trace.new_burst()
-        burst_id = self._burst
-        start_clock = self._clock
+        self._burst = burst_id = self.trace.new_burst()
         start_ops = self.trace.num_ops
         try:
-            yield self._burst
+            yield burst_id
         finally:
             self._burst = prev
             if self.obs.enabled:
                 if self.obs.counters.enabled:
                     self.obs.counters.inc("machine.bursts")
-                tracer = self.obs.tracer
-                if tracer.enabled and self.trace.num_ops > start_ops:
-                    tracer.span(f"burst {burst_id}", "burst", start_clock,
-                                self._clock - start_clock, tid=2,
-                                ops=self.trace.num_ops - start_ops)
+                end = self.trace.num_ops
+                if self.obs.tracer.enabled and end > start_ops:
+                    def emit(clocks, span=self.obs.tracer.span):
+                        span(f"burst {burst_id}", "burst", clocks[start_ops],
+                             clocks[end] - clocks[start_ops], tid=2,
+                             ops=end - start_ops)
+                    self._marks.append((end, emit))
 
     # -- scalar accounting -------------------------------------------------------
 
@@ -231,45 +233,97 @@ class Machine:
 
     # -- observability -----------------------------------------------------------
 
-    def _observe_op(self, kind: OpKind, stats, *, nested: bool = False,
-                    cpu_mem: float = 0.0, sc_mem: float = 0.0,
-                    flop_pairs: int = 0) -> None:
-        """Count and trace one recorded stream operation.
-
-        Called only when ``self.obs.enabled`` — a run without a probe
-        pays a single attribute check per op.
-        """
-        su = su_cycles_for(kind, stats)
-        name = kind.name.lower()
+    def _observe_load(self, granule: tuple, nbytes: int,
+                      scratchpad_hit: bool) -> None:
+        """Count one stream load and queue its fetch instant."""
         counters = self.obs.counters
         if counters.enabled:
-            counters.inc(f"machine.ops.{name}")
+            counters.inc("machine.stream_loads")
+            counters.add("machine.stream_bytes", nbytes)
+        if self.obs.tracer.enabled:
+            at = self.trace.num_ops
+
+            def emit(clocks, instant=self.obs.tracer.instant):
+                instant("fetch " + granule[0], "fetch", clocks[at], tid=1,
+                        granule=repr(granule), bytes=nbytes,
+                        scratchpad_hit=scratchpad_hit)
+            self._marks.append((at, emit))
+
+    def freeze(self) -> FrozenTrace:
+        """Freeze the trace for the cost models.
+
+        A probed machine also observes every op recorded since its
+        previous ``freeze``: the op counters are sums over the frozen
+        columns, and the timeline is replayed from them, so the tracer
+        sees the same events, timestamps and drops as if each op had
+        been traced when it was recorded.
+        """
+        trace = self.trace.freeze()
+        if self.obs.enabled:
+            self._observe(trace)
+        return trace
+
+    def _observe(self, t: FrozenTrace) -> None:
+        """Count and trace the ops of ``t`` not observed yet.
+
+        Ops advance the clock by their span and stall, so each queued
+        mark (a fetch instant, a burst span) is emitted between the same
+        two ops, at the same clock, as when it happened.
+        """
+        lo, hi = self._observed, t.num_ops
+        self._observed = hi
+        kind, su, eff = t.kind[lo:hi], t.su_cycles[lo:hi], t.eff_elems[lo:hi]
+        # cpu_steps counts the merge-path union, so the matches are the
+        # operand elements it does not count twice.
+        matches = eff - t.cpu_steps[lo:hi]
+        flops, sc = t.flop_pairs[lo:hi], t.sc_mem[lo:hi]
+        counters = self.obs.counters
+        if counters.enabled and hi > lo:
+            kinds = np.bincount(kind, minlength=len(OpKind)).tolist()
+            for name, n in zip(_OP_NAMES, kinds):
+                if n:
+                    counters.add(f"machine.ops.{name}", n)
+            nested = int(np.count_nonzero(t.nested[lo:hi]))
             if nested:
-                counters.inc("machine.ops.nested")
-            counters.add("su.busy_cycles", su)
-            counters.add("machine.matches", stats.n_matches)
-            counters.add("machine.eff_elems", stats.eff_a + stats.eff_b)
-            if sc_mem:
-                counters.add("machine.sc_stall_cycles", sc_mem)
-            if cpu_mem:
-                counters.add("machine.cpu_stall_cycles", cpu_mem)
-            if flop_pairs:
-                counters.add("svpu.flop_pairs", flop_pairs)
-                counters.add("svpu.value_loads", 1)
+                counters.add("machine.ops.nested", nested)
+            counters.add("su.busy_cycles", int(su.sum()))
+            counters.add("machine.matches", int(matches.sum()))
+            counters.add("machine.eff_elems", int(eff.sum()))
+            for name, col in (("machine.sc_stall_cycles", sc),
+                              ("machine.cpu_stall_cycles", t.cpu_mem[lo:hi])):
+                charged = col[col != 0]
+                if charged.size:
+                    # Summed in op order, as per-op increments would be.
+                    counters.add(name, np.add.accumulate(charged)[-1].item())
+            if flops.any():
+                counters.add("svpu.flop_pairs", int(flops.sum()))
+                counters.add("svpu.value_loads", int(np.count_nonzero(flops)))
         tracer = self.obs.tracer
-        if tracer.enabled:
-            # SVPU FLOPs overlap the SU key walk (Section 4.5): the
-            # span covers whichever side dominates, as the model does.
-            dur = max(su, flop_pairs * self.config.flop_cycles_per_pair)
-            tracer.span(name, "su", self._clock, dur, tid=0,
-                        burst=self._burst, matches=stats.n_matches,
-                        eff_elems=stats.eff_a + stats.eff_b)
-            if sc_mem > 0:
-                tracer.span("stall", "stall", self._clock + dur, sc_mem,
-                            tid=1, cycles=sc_mem)
-            self._clock += dur + sc_mem
-        else:
-            self._clock += su + sc_mem
+        if not tracer.enabled:
+            return
+        # SVPU FLOPs overlap the SU key walk (Section 4.5): the span
+        # covers whichever side dominates, as the model does.
+        dur = np.maximum(su, flops * self.config.flop_cycles_per_pair)
+        # A running sum, added op by op as a clock would be.
+        clocks = np.add.accumulate(np.concatenate((self._clocks[-1:],
+                                                   dur + sc)))
+        self._clocks = np.concatenate((self._clocks[:-1], clocks))
+        marks, m = self._marks, 0
+        for i, (k, clock, d, stall, burst, n, elems) in enumerate(
+                zip(kind.tolist(), clocks.tolist(), dur.tolist(),
+                    sc.tolist(), t.burst[lo:hi].tolist(), matches.tolist(),
+                    eff.tolist()), lo):
+            while m < len(marks) and marks[m][0] == i:
+                marks[m][1](self._clocks)
+                m += 1
+            tracer.span(_OP_NAMES[k], "su", clock, d, tid=0, burst=burst,
+                        matches=n, eff_elems=elems)
+            if stall > 0:
+                tracer.span("stall", "stall", clock + d, stall, tid=1,
+                            cycles=stall)
+        for _, emit in marks[m:]:
+            emit(self._clocks)
+        self._marks = []
 
     # -- compute ops -------------------------------------------------------------
 
@@ -298,13 +352,6 @@ class Machine:
                     nested=nested, cpu_mem=cpu_mem, sc_mem=sc_mem,
                     flop_pairs=flop_pairs)
         self.trace.shared_scalar_instrs += OP_SETUP_INSTRS
-        if self.obs.enabled:
-            # Profiled runs observe per-op stats eagerly; the trace
-            # itself stays deferred (identical frozen output).
-            stats = analyze_pair(a.keys, b.keys, bound, width=self._width)
-            self._observe_op(kind, stats, nested=nested,
-                             cpu_mem=cpu_mem, sc_mem=sc_mem,
-                             flop_pairs=flop_pairs)
         if self.record_lengths:
             self._append_length(a.keys.size)
             self._append_length(b.keys.size)
@@ -393,12 +440,8 @@ class Machine:
         pays only its memory-model accesses and its deferred record.
         """
         av = self._require_values(a)
-        if self.obs.enabled:
-            # Profiled runs keep the per-op counters and tracer events.
-            return np.array([
-                self.vinter(a, self.load_values(k, v, g, priority), "MAC")
-                for k, v, g in zip(keys, vals, granules)], dtype=np.float64)
         counts, values = ops.vinter_mac_sweep(a.keys, av, keys, vals)
+        observed = self.obs.enabled
         load_stream = self.transfer.load_stream
         load_values = self.transfer.load_values
         defer, burst, kind = self._defer, self._burst, OpKind.VINTER
@@ -412,9 +455,11 @@ class Machine:
             # are formed in the same order, so they are bit-identical.
             b_cpu = b_sc = cpu_mem = sc_mem = 0.0
             if granule is not None:
-                cost = load_stream(granule, b_keys.size * KEY_BYTES,
-                                   priority)
+                nbytes = b_keys.size * KEY_BYTES
+                cost = load_stream(granule, nbytes, priority)
                 b_cpu, b_sc = cost.cpu_cycles, cost.sc_cycles
+                if observed:
+                    self._observe_load(granule, nbytes, cost.scratchpad_hit)
             if n_matches:
                 nbytes = n_matches * _VALUE_BYTES
                 ga_cpu = ga_sc = gb_cpu = gb_sc = 0.0
@@ -476,12 +521,6 @@ class Machine:
                 defer(OpKind.INTERSECT, s.keys, nbr.keys, s_i,
                       burst=self._burst, nested=True,
                       cpu_mem=cpu_n + cpu_pend, sc_mem=sc_n + sc_pend)
-                if self.obs.enabled:
-                    stats = analyze_pair(s.keys, nbr.keys, bound=s_i,
-                                         width=self._width)
-                    self._observe_op(OpKind.INTERSECT, stats, nested=True,
-                                     cpu_mem=cpu_n + cpu_pend,
-                                     sc_mem=sc_n + sc_pend)
                 total += ops.intersect_count(s.keys, nbr.keys, s_i)
                 cpu_pend = sc_pend = 0.0
                 self.trace.add_cpu_scalar(CPU_NESTED_LOOP_INSTRS)

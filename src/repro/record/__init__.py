@@ -1,18 +1,19 @@
-"""Recording: how a :class:`~repro.machine.context.Machine` stores the
-operations it observes.
+"""Recording: how the recording contexts store the operations they run.
 
-Every ``Machine`` records into a
-:class:`~repro.record.columnar.ColumnarTrace`: an op is captured as
-references to its key arrays plus its scalar operands, and the
+Every :class:`~repro.machine.context.Machine`, probed or not, and the
+instruction-level :class:`~repro.arch.executor.StreamExecutor` record
+into a :class:`~repro.record.columnar.ColumnarTrace`: an op is captured
+as references to its key arrays plus its scalar operands, and the
 merge-run statistics of pending ops are computed in vectorised
 :func:`~repro.record.columnar.analyze_segments` batches when
 :data:`~repro.record.columnar.COMPACT_ELEMS` key elements are pending
 and at freeze time.  The frozen trace is a regular
-:class:`~repro.arch.trace.FrozenTrace`, so pricing and the run cache
-never see how it was recorded.  The per-op
+:class:`~repro.arch.trace.FrozenTrace`, so pricing, the run cache and
+a probe's counters and timeline never see how it was recorded.
+Nothing records through the per-op
 :func:`~repro.streams.runstats.analyze_pair` and
-:class:`~repro.arch.trace.Trace` remain the reference the batched path
-is tested against (see docs/performance.md).
+:class:`~repro.arch.trace.Trace`; they are the reference the batched
+path is tested against (see docs/performance.md).
 """
 
 from __future__ import annotations

@@ -1,9 +1,12 @@
 """The recorder: whole-operation capture, batch analysis.
 
-Analysing each stream operation as it is recorded (one
-:func:`~repro.streams.runstats.analyze_pair` call per op, as the
-row-tuple :class:`~repro.arch.trace.Trace` takes it) pays a handful of
-numpy dispatches whose fixed overhead dominates cold recording.
+Every recorded stream op — from the recording
+:class:`~repro.machine.context.Machine`, probed or not, and from the
+instruction-level :class:`~repro.arch.executor.StreamExecutor` — goes
+through :meth:`ColumnarTrace.add_op_keys`.  Analysing each op as it is
+recorded (one :func:`~repro.streams.runstats.analyze_pair` walk per op,
+as the row-tuple :class:`~repro.arch.trace.Trace` reference takes it)
+would pay per-op interpreter work that dominates cold recording.
 :class:`ColumnarTrace` decouples traversal from analysis instead:
 recording an op only stores references to its (bound-truncated) key
 arrays plus the scalar operands (kind, burst id, memory charges), and
@@ -21,18 +24,19 @@ union's source labels and run boundaries — the exact quantities
 terminal-run exemption of the intersection cycle count.
 
 :meth:`ColumnarTrace.freeze` emits a regular
-:class:`~repro.arch.trace.FrozenTrace`: the same columns, dtypes and
-values a :class:`~repro.arch.trace.Trace` fed the per-op statistics
-freezes to, so serialized payloads are byte-identical to the per-op
-reference and every downstream consumer (pricing, cost models, the run
-cache) reads one format.
+:class:`~repro.arch.trace.FrozenTrace` through
+:meth:`~repro.arch.trace.FrozenTrace.from_columns`: the same columns,
+dtypes and values a :class:`~repro.arch.trace.Trace` fed the per-op
+statistics freezes to, so serialized payloads are byte-identical to the
+per-op reference and every downstream consumer (pricing, cost models,
+the run cache) reads one format.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.arch.trace import NO_BURST, FrozenTrace, OpKind
+from repro.arch.trace import COLUMNS, NO_BURST, FrozenTrace, OpKind
 from repro.streams.runstats import SU_BUFFER_WIDTH, UNBOUNDED, truncate_bound
 
 #: Pending key elements that trigger a partial compaction.  Bounds held
@@ -41,10 +45,6 @@ from repro.streams.runstats import SU_BUFFER_WIDTH, UNBOUNDED, truncate_bound
 #: ~2x more per element from DRAM traffic alone (measured: 256k-element
 #: batches analyse at ~110ns/elem, 64k batches at ~75ns/elem).
 COMPACT_ELEMS = 65_536
-
-#: Column dtypes in :data:`repro.arch.trace._ARRAY_FIELDS` order.
-_COL_DTYPES = (np.int8, np.int64, np.int64, np.int64, np.int64, np.int64,
-               np.int64, np.int64, np.bool_, np.float64, np.float64)
 
 
 def analyze_segments(a_list, b_list, width: int = SU_BUFFER_WIDTH):
@@ -176,8 +176,8 @@ class ColumnarTrace:
         self._pending: list[tuple] = []
         self._append_pending = self._pending.append
         self._pending_elems = 0
-        #: analysed column batches, each a tuple of 11 arrays in
-        #: _ARRAY_FIELDS order
+        #: analysed column batches, each a tuple of arrays in
+        #: :data:`~repro.arch.trace.COLUMNS` order
         self._segments: list[tuple] = []
         self._n_ops = 0
 
@@ -198,7 +198,8 @@ class ColumnarTrace:
         The bound truncation is applied *now* (it is cheap and lets the
         batch analyser treat every operand as effective keys); operand
         arrays are held by reference until the next compaction, per the
-        stream contract that key arrays are never mutated in place.
+        stream contract that key arrays are never mutated in place while
+        a trace is open.
         """
         self._frozen = None
         if bound >= 0:
@@ -268,32 +269,15 @@ class ColumnarTrace:
         if self._frozen is None:
             self._compact()
             segs = self._segments
-            if not segs:
-                cols = [np.empty(0, dtype=dt) for dt in _COL_DTYPES]
-            elif len(segs) == 1:
-                cols = list(segs[0])
+            if len(segs) == 1:
+                cols = segs[0]
+            elif segs:
+                cols = [np.concatenate(col) for col in zip(*segs)]
             else:
-                cols = [np.concatenate([seg[i] for seg in segs])
-                        for i in range(len(_COL_DTYPES))]
-            (kind, su_cycles, cpu_steps, dir_changes, eff_elems, out_len,
-             flop_pairs, burst, nested, cpu_mem, sc_mem) = cols
-            self._frozen = FrozenTrace(
-                name=self.name,
-                kind=kind,
-                su_cycles=su_cycles,
-                cpu_steps=cpu_steps,
-                dir_changes=dir_changes,
-                eff_elems=eff_elems,
-                out_len=out_len,
-                flop_pairs=flop_pairs,
-                burst=burst,
-                nested=nested,
-                cpu_mem=cpu_mem,
-                sc_mem=sc_mem,
-                shared_scalar_instrs=self.shared_scalar_instrs,
-                cpu_only_scalar_instrs=self.cpu_only_scalar_instrs,
-                sc_only_scalar_instrs=self.sc_only_scalar_instrs,
-            )
+                cols = [()] * len(COLUMNS)
+            self._frozen = FrozenTrace.from_columns(
+                self.name, cols, self.shared_scalar_instrs,
+                self.cpu_only_scalar_instrs, self.sc_only_scalar_instrs)
         return self._frozen
 
     def stream_lengths(self) -> np.ndarray:

@@ -22,10 +22,13 @@ in each machine model:
   exactly at run boundaries, and a fraction of those changes are
   mispredicted (Figure 9 shows this dominating CPU time).
 
-:func:`analyze_pair` computes all of these statistics with vectorised
-numpy in O((|A|+|B|) log(|A|+|B|)) and returns a compact
-:class:`OpStats` record that machine models can re-cost cheaply (e.g.
-for the SU-count and bandwidth sweeps of Figures 12 and 13).
+:func:`analyze_pair` computes all of these statistics for one op with a
+sequential walk of the merge path and returns a compact
+:class:`OpStats` record.  Recording never calls it: every recorded op
+is analysed in batches by :func:`repro.record.columnar.analyze_segments`.
+It is the per-op reference those batches are tested against, written
+independently of them, and the analytic side of the difftest
+bracket checks against the stepped Stream Unit.
 """
 
 from __future__ import annotations
@@ -33,8 +36,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from repro.streams.kernels import sorted_union
 
 #: Width of the SU parallel-comparison window (paper Section 4.2: "We set
 #: the buffer size as 16").
@@ -103,9 +104,6 @@ class OpStats:
         raise ValueError(f"unknown op kind: {kind!r}")
 
 
-_EMPTY = OpStats(0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)
-
-
 def truncate_bound(keys: np.ndarray, bound: int) -> np.ndarray:
     """Keep only keys strictly below ``bound`` (no-op when unbounded)."""
     if bound < 0 or keys.size == 0 or keys[-1] < bound:
@@ -113,16 +111,16 @@ def truncate_bound(keys: np.ndarray, bound: int) -> np.ndarray:
     return keys[: int(np.searchsorted(keys, bound, side="left"))]
 
 
-#: Below this combined operand size the pure-Python merge walk beats
-#: the vectorised path (numpy per-call overhead dominates tiny arrays).
-_SMALL_OP_THRESHOLD = 96
-
-
-def _analyze_small(a_eff, b_eff, len_a: int, len_b: int,
-                   width: int) -> OpStats:
-    """Single-pass merge walk for small operands (the hot GPM case)."""
-    xs = a_eff.tolist()
-    ys = b_eff.tolist()
+def analyze_pair(
+    a: np.ndarray,
+    b: np.ndarray,
+    bound: int = UNBOUNDED,
+    *,
+    width: int = SU_BUFFER_WIDTH,
+) -> OpStats:
+    """Compute :class:`OpStats` for sorted key arrays ``a`` and ``b``."""
+    xs = truncate_bound(a, bound).tolist()
+    ys = truncate_bound(b, bound).tolist()
     na, nb = len(xs), len(ys)
     i = j = 0
     n_matches = 0
@@ -181,64 +179,8 @@ def _analyze_small(a_eff, b_eff, len_a: int, len_b: int,
     # the terminal single-source run costs no intersect cycles.
     su_int -= last_int_charge
     return OpStats(
-        len_a=len_a, len_b=len_b, eff_a=na, eff_b=nb,
+        len_a=int(a.size), len_b=int(b.size), eff_a=na, eff_b=nb,
         n_union=n_union, n_matches=n_matches, n_runs=n_runs,
         su_cycles_intersect=su_int, su_cycles_submerge=su_sub,
         cpu_steps=n_union, direction_changes=max(0, n_runs - 1),
-    )
-
-
-def analyze_pair(
-    a: np.ndarray,
-    b: np.ndarray,
-    bound: int = UNBOUNDED,
-    *,
-    width: int = SU_BUFFER_WIDTH,
-) -> OpStats:
-    """Compute :class:`OpStats` for sorted key arrays ``a`` and ``b``."""
-    len_a, len_b = int(a.size), int(b.size)
-    a_eff = truncate_bound(a, bound)
-    b_eff = truncate_bound(b, bound)
-    if a_eff.size == 0 and b_eff.size == 0:
-        if len_a == 0 and len_b == 0 and bound < 0:
-            return _EMPTY
-        return OpStats(len_a, len_b, 0, 0, 0, 0, 0, 0, 0, 0, 0)
-    if a_eff.size + b_eff.size <= _SMALL_OP_THRESHOLD:
-        return _analyze_small(a_eff, b_eff, len_a, len_b, width)
-
-    union = sorted_union(a_eff, b_eff)
-    in_a = np.zeros(union.size, dtype=bool)
-    in_a[np.searchsorted(union, a_eff)] = True
-    in_b = np.zeros(union.size, dtype=bool)
-    in_b[np.searchsorted(union, b_eff)] = True
-    src = in_a.astype(np.int8) + 2 * in_b.astype(np.int8)  # 1=A, 2=B, 3=both
-
-    boundaries = np.flatnonzero(src[1:] != src[:-1])
-    run_starts = np.concatenate(([0], boundaries + 1))
-    run_ends = np.concatenate((boundaries, [src.size - 1]))
-    run_lens = run_ends - run_starts + 1
-    run_src = src[run_starts]
-
-    match_runs = run_src == 3
-    n_matches = int(run_lens[match_runs].sum())
-    windowed = np.ceil(run_lens / width).astype(np.int64)
-    su_submerge = int(windowed.sum())
-    su_intersect = int(windowed[~match_runs].sum()) + n_matches
-    if run_src[-1] != 3:
-        # Terminal single-source run: intersection has already halted
-        # (the other operand is exhausted), so these keys are free.
-        su_intersect -= int(windowed[-1])
-
-    return OpStats(
-        len_a=len_a,
-        len_b=len_b,
-        eff_a=int(a_eff.size),
-        eff_b=int(b_eff.size),
-        n_union=int(union.size),
-        n_matches=n_matches,
-        n_runs=int(run_lens.size),
-        su_cycles_intersect=su_intersect,
-        su_cycles_submerge=su_submerge,
-        cpu_steps=int(union.size),
-        direction_changes=max(0, int(run_lens.size) - 1),
     )

@@ -8,7 +8,8 @@
    recorded trace from the :class:`~repro.perf.cache.RunCache` — the
    fingerprint is derived from the spec and the dataset's *generator
    parameters*, so rescaling or reseeding a stand-in changes the key),
-3. **freeze** the trace,
+3. **freeze** the trace (:meth:`~repro.machine.context.Machine.freeze`,
+   which also gives a probe its op counters and event timeline),
 4. **price** it under the CPU and SparseCore models
    (:mod:`repro.workloads.pricing`) into the family's metrics dict.
 
@@ -26,11 +27,6 @@ import numpy as np
 from repro.workloads.pricing import OPERAND_SEED, price_run, tensor_operands
 from repro.workloads.registry import get_workload
 from repro.workloads.spec import WorkloadSpec
-
-
-def _config_fp(config) -> str:
-    """Ledger tag of the pricing config (``default`` = paper)."""
-    return "default" if config is None else config.fingerprint()
 
 
 def dataset_params(dspec) -> dict:
@@ -82,10 +78,6 @@ class RunResult:
     scale: float
     trace: object  # FrozenTrace
     metrics: dict | None
-    #: machine configuration the metrics were priced under (``None`` =
-    #: the ``paper`` preset); not part of the trace cache key — traces
-    #: are recording artifacts, configs only matter at pricing time
-    config: object = None  # MachineConfigs | None
     meta: dict = field(default_factory=dict)
     lengths: np.ndarray = field(
         default_factory=lambda: np.empty(0, dtype=np.int64))
@@ -145,7 +137,7 @@ _RECORDERS = {"gpm": _record_gpm, "spmspm": _record_spmspm,
 
 def run_workload(workload: str | WorkloadSpec, dataset: str | None = None,
                  scale: float = 1.0, *, cache=None, probe=None,
-                 price: bool = True, config=None) -> RunResult:
+                 price: bool = True) -> RunResult:
     """Run one registered workload through the shared pipeline.
 
     ``cache`` (a :class:`~repro.perf.cache.RunCache`) short-circuits
@@ -153,16 +145,12 @@ def run_workload(workload: str | WorkloadSpec, dataset: str | None = None,
     the current models.  ``probe`` observes cold recordings — cached
     runs execute nothing, so they contribute no counters.  With
     ``price=False`` the metrics step is skipped (callers that do their
-    own pricing, e.g. the profiler, use the trace directly).
-    ``config`` (a
-    :class:`~repro.arch.config.MachineConfigs`; ``None`` = the
-    ``paper`` preset) selects the machine pair the trace is priced
-    under.  It is deliberately **not** part of the trace cache key:
-    recording is config-independent, so one cached trace re-prices
-    under any number of design points — which is what makes
-    :mod:`repro.explore` sweeps cheap.  The config fingerprint is part
-    of every *priced-result* identity instead (ledger spans, sweep
-    rows).
+    own pricing, e.g. the profiler, use the trace directly).  Metrics
+    are priced under the ``paper`` machine pair; other design points
+    re-price the returned trace with
+    :func:`~repro.workloads.pricing.price_run` (``configs=``), as
+    :mod:`repro.explore` sweeps do — recording is config-independent,
+    so the trace cache key holds no config.
     """
     from repro.obs.spans import clock
     from repro.resilience.faults import inject
@@ -185,13 +173,12 @@ def run_workload(workload: str | WorkloadSpec, dataset: str | None = None,
             t0 = led.start()
             metrics = price_run(spec, dspec.key, hit.trace,
                                 lengths=hit.lengths,
-                                meta=hit.meta,
-                                configs=config) if price else None
+                                meta=hit.meta) if price else None
             led.span("price", t0, workload=spec.name, dataset=dspec.key,
-                     fp=key, cached=True, cfg=_config_fp(config))
+                     fp=key, cached=True)
             return RunResult(spec=spec, dataset=dspec.key, scale=scale,
                              trace=hit.trace, metrics=metrics,
-                             config=config, meta=dict(hit.meta),
+                             meta=dict(hit.meta),
                              lengths=hit.lengths, cached=True)
 
     t0 = led.start()
@@ -206,7 +193,7 @@ def run_workload(workload: str | WorkloadSpec, dataset: str | None = None,
     meta, summary = _RECORDERS[spec.family](spec, data, machine)
     led.span("record", t0, workload=spec.name, dataset=dspec.key, fp=key)
     t0 = led.start()
-    trace = machine.trace.freeze()
+    trace = machine.freeze()
     led.span("freeze", t0, workload=spec.name, dataset=dspec.key,
              num_ops=trace.num_ops)
     lengths = np.asarray(machine.length_samples, dtype=np.int64)
@@ -217,11 +204,11 @@ def run_workload(workload: str | WorkloadSpec, dataset: str | None = None,
         })
     t0 = led.start()
     metrics = price_run(spec, dspec.key, trace, lengths=lengths,
-                        meta=meta, configs=config) if price else None
+                        meta=meta) if price else None
     led.span("price", t0, workload=spec.name, dataset=dspec.key,
-             fp=key, cached=False, cfg=_config_fp(config))
+             fp=key, cached=False)
     return RunResult(spec=spec, dataset=dspec.key, scale=scale, trace=trace,
-                     metrics=metrics, config=config, meta=meta,
+                     metrics=metrics, meta=meta,
                      lengths=lengths, summary=summary, cached=False)
 
 

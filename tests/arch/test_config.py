@@ -267,11 +267,15 @@ def test_unknown_preset_lists_known_names():
 # -- golden: the paper preset prices bit-identically to the defaults ---------
 
 def test_paper_preset_prices_bit_identical():
-    from repro.workloads import get_workload, run_workload
+    from repro.workloads import get_workload, price_run, run_workload
 
     spec = get_workload("triangle")
-    default = run_workload(spec, None, 0.3, cache=None).metrics
-    preset = run_workload(spec, None, 0.3, cache=None,
-                          config=get_preset("paper")).metrics
+    rec = run_workload(spec, None, 0.3, cache=None, price=False)
+
+    def price(configs):
+        return price_run(spec, rec.dataset, rec.trace, lengths=rec.lengths,
+                         meta=rec.meta, configs=configs)
+
+    default, preset = price(None), price(get_preset("paper"))
     assert json.loads(json.dumps(canon(preset), sort_keys=True)) \
         == json.loads(json.dumps(canon(default), sort_keys=True))

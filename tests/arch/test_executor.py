@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.arch import SimMemory, StreamExecutor
+from repro.arch.trace import _ARRAY_FIELDS, _SCALAR_FIELDS
 from repro.errors import (
     ArchFault,
     GfrNotLoadedFault,
@@ -14,6 +15,7 @@ from repro.errors import (
 from repro.graph import CSRGraph
 from repro.isa import EOS, Opcode, assemble
 from repro.isa.spec import Instruction
+from tests.recorders import RowsTrace
 
 
 def I(opcode, *ops):
@@ -269,3 +271,119 @@ class TestProgramsAndReports:
         rep = ex.report()
         assert rep.total_cycles > 0
         assert rep.machine == "sparsecore"
+
+
+# -- the recorder against the per-op reference -----------------------------
+
+
+def _sorted_keys(rng, universe, n):
+    return np.sort(rng.choice(universe, size=n, replace=False)).astype(
+        np.int64)
+
+
+def _record(program, reference, virtualize=False):
+    """Run ``program(ex, mem)`` on a fresh executor; with ``reference``
+    its recorder is the per-op :class:`RowsTrace`."""
+    mem = SimMemory()
+    ex = StreamExecutor(mem, virtualize=virtualize)
+    if reference:
+        ex.trace = RowsTrace("executor", width=ex.config.su_buffer_width)
+    program(ex, mem)
+    return ex
+
+
+def _assert_matches_reference(program, virtualize=False):
+    got = _record(program, False, virtualize)
+    want = _record(program, True, virtualize)
+    trace, ref = got.trace.freeze(), want.trace.freeze()
+    assert trace.num_ops == ref.num_ops > 0
+    for field in _ARRAY_FIELDS:
+        col, ref_col = getattr(trace, field), getattr(ref, field)
+        assert col.dtype == ref_col.dtype, field
+        assert col.tobytes() == ref_col.tobytes(), field
+    for field in _SCALAR_FIELDS:
+        assert getattr(trace, field) == getattr(ref, field), field
+    assert got.regs == want.regs
+    report, ref_report = got.report(), want.report()
+    assert report.total_cycles == ref_report.total_cycles
+    assert report.breakdown() == ref_report.breakdown()
+    return got
+
+
+def _set_ops(ex, mem):
+    rng = np.random.default_rng(0)
+    a, b = _sorted_keys(rng, 200, 60), _sorted_keys(rng, 200, 70)
+    ex.execute(I(Opcode.S_READ, mem.register(a, "a"), a.size, 1, 0))
+    ex.execute(I(Opcode.S_READ, mem.register(b, "b"), b.size, 2, 1))
+    for bound in (-1, 0, 120, 500):
+        for op in (Opcode.S_INTER, Opcode.S_SUB):
+            ex.execute(I(op, 1, 2, 3, bound))
+            ex.execute(I(Opcode.S_INTER_C, 3, 1, "R3", -1))
+            ex.execute(I(Opcode.S_FREE, 3))
+        ex.execute(I(Opcode.S_INTER_C, 1, 2, "R0", bound))
+        ex.execute(I(Opcode.S_SUB_C, 2, 1, "R1", bound))
+    ex.execute(I(Opcode.S_MERGE, 1, 2, 3))
+    ex.execute(I(Opcode.S_MERGE_C, 3, 1, "R2"))
+
+
+def _value_ops(ex, mem):
+    rng = np.random.default_rng(1)
+    a, b = _sorted_keys(rng, 100, 40), _sorted_keys(rng, 100, 50)
+    av, bv = rng.standard_normal(a.size), rng.standard_normal(b.size)
+    ex.execute(I(Opcode.S_VREAD, mem.register(a, "a"), a.size, 1,
+                 mem.register(av, "av"), 1))
+    ex.execute(I(Opcode.S_VREAD, mem.register(b, "b"), b.size, 2,
+                 mem.register(bv, "bv"), 0))
+    ex.execute(I(Opcode.S_VINTER, 1, 2, "F0", "MAC"))
+    ex.execute(I(Opcode.S_VMERGE, 2.0, -1.0, 1, 2, 3))
+    ex.execute(I(Opcode.S_VINTER, 3, 1, "F1", "MAC"))
+    ex.execute(I(Opcode.S_VINTER, 2, 3, "F2", "MAX"))
+
+
+def _nested(ex, mem):
+    g = CSRGraph.from_edges(8, [(u, v) for u in range(8)
+                                for v in range(u + 1, 8) if (u * v) % 3])
+    at = [mem.register(arr, name) for arr, name in
+          ((g.indptr, "indptr"), (g.indices, "edges"),
+           (g.offsets, "offsets"))]
+    ex.execute(I(Opcode.S_LD_GFR, *at))
+    for v in g.vertices():
+        lo, hi = int(g.indptr[v]), int(g.indptr[v + 1])
+        ex.execute(I(Opcode.S_READ, mem.element_address(at[1], lo),
+                     hi - lo, 1, 0))
+        ex.execute(I(Opcode.S_NESTINTER, 1, "R0"))
+        ex.execute(I(Opcode.S_INTER_C, 1, 1, "R1", v))
+        ex.execute(I(Opcode.S_FREE, 1))
+
+
+def _spilling(ex, mem):
+    for sid in range(20):
+        ex.execute(I(Opcode.S_READ, mem.register(
+            np.arange(sid, 3 * sid + 8, 2, dtype=np.int64), f"s{sid}"),
+            sid + 4, sid, sid % 2))
+    for sid in range(0, 20, 3):  # the early streams were spilled
+        ex.execute(I(Opcode.S_INTER_C, sid, 19 - sid, "R0", -1))
+        ex.execute(I(Opcode.S_MERGE, sid, 19 - sid, 20 + sid))
+
+
+class TestRecorderMatchesPerOpReference:
+    """The executor's ColumnarTrace records what the per-op Trace +
+    analyze_pair reference records, byte for byte."""
+
+    def test_set_ops_with_and_without_bounds(self):
+        got = _assert_matches_reference(_set_ops)
+        assert set(got.trace.freeze().kind.tolist()) == {0, 1, 2}
+
+    def test_value_ops_on_vread_streams(self):
+        got = _assert_matches_reference(_value_ops)
+        assert got.trace.freeze().flop_pairs.sum() > 0
+
+    def test_nested_intersection(self):
+        got = _assert_matches_reference(_nested)
+        frozen = got.trace.freeze()
+        assert frozen.nested.any() and not frozen.nested.all()
+        assert len(set(frozen.burst[frozen.nested].tolist())) > 1
+
+    def test_virtualized_program_spills_and_swaps_in(self):
+        got = _assert_matches_reference(_spilling, virtualize=True)
+        assert got.spills > 0 and got.swap_ins > 0

@@ -13,7 +13,6 @@ from repro.arch.trace import (
     NO_BURST,
     FrozenTrace,
     OpKind,
-    su_cycles_for,
 )
 from repro.streams.runstats import analyze_pair
 
@@ -48,12 +47,6 @@ class TestTrace:
         t.add_op(OpKind.MERGE, sample_stats())
         assert t.freeze() is not f1
         assert t.freeze().num_ops == 2
-
-    def test_su_cycles_kind_selection(self):
-        st = analyze_pair(keys(1, 2, 3), keys(1, 2, 3))
-        assert su_cycles_for(OpKind.INTERSECT, st) == st.su_cycles_intersect
-        assert su_cycles_for(OpKind.SUBTRACT, st) == st.su_cycles_submerge
-        assert su_cycles_for(OpKind.VINTER, st) == st.su_cycles_intersect
 
     def test_burst_ids_unique(self):
         t = Trace()

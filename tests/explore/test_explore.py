@@ -255,7 +255,7 @@ def test_warm_sweep_reads_each_trace_once(tmp_path, monkeypatch):
 
 
 def test_sweep_rows_match_the_pipeline_per_point(tmp_path):
-    from repro.workloads import get_workload, run_workload
+    from repro.workloads import get_workload, price_run, run_workload
 
     axes = ["implicit_overlap=1,4", "num_sus=2,8",
             "flop_cycles_per_pair=0.5,2.0"]
@@ -263,9 +263,12 @@ def test_sweep_rows_match_the_pipeline_per_point(tmp_path):
     points = grid_points(parse_axes(axes), default_configs())
     rows = report.workloads[0].rows
     assert len(rows) == len(points) == 8
+    spec = get_workload("triangle")
+    rec = run_workload(spec, None, 0.3, cache=None, price=False)
     for row, point in zip(rows, points):
-        metrics = run_workload(get_workload("triangle"), None, 0.3,
-                               cache=None, config=point.config).metrics
+        metrics = price_run(spec, rec.dataset, rec.trace,
+                            lengths=rec.lengths, meta=rec.meta,
+                            configs=point.config)
         assert row["config_fingerprint"] == point.fingerprint()
         for column in ("sc_cycles", "cpu_cycles", "speedup_vs_cpu"):
             assert row[column] == metrics[column], (point.label, column)

@@ -152,6 +152,65 @@ class TestAppRunHelpers:
         assert run.speedup() > 1.0
 
 
+# -- probed machines observe their ops in freeze() -------------------------
+
+
+def _probed_program(freeze):
+    """A small probed run that calls ``freeze`` mid-run, once inside an
+    open burst; returns its probe after a final ``Machine.freeze``."""
+    probe = Probe.collecting()
+    m = Machine(probe=probe)
+    a = m.load(keys(1, 3, 5, 7), ("a", 0))
+    b = m.load_values(keys(3, 5, 8), np.ones(3), ("b", 0))
+    m.intersect(a, b)
+    freeze(m)
+    with m.burst():
+        m.subtract(a, b, bound=6)
+        freeze(m)
+        m.merge(a, m.load(keys(5, 7, 9), ("c", 0)))
+    freeze(m)
+    with m.burst():
+        pass
+    m.vinter(m.load_values(keys(3, 5), np.ones(2), ("d", 0)), b)
+    m.load(keys(2), ("e", 0))  # a fetch after the last op
+    m.freeze()
+    return probe
+
+
+class TestProbedFreeze:
+    def test_nothing_observed_before_freeze(self):
+        probe = Probe.collecting()
+        m = Machine(probe=probe)
+        m.intersect(m.load(keys(1, 2), ("a", 0)), keys(2, 3))
+        assert probe.counters.get("machine.stream_loads") == 1
+        assert probe.counters.get("machine.ops.intersect") == 0
+        assert probe.tracer.events == []
+        m.freeze()
+        assert probe.counters.get("machine.ops.intersect") == 1
+        assert [e.cat for e in probe.tracer.events] == ["fetch", "su",
+                                                         "stall"]
+
+    def test_each_freeze_covers_only_new_ops(self):
+        once = _probed_program(lambda m: None)
+        often = _probed_program(Machine.freeze)
+        assert often.counters.flat() == once.counters.flat()
+        assert often.tracer.events == once.tracer.events
+        assert once.counters.get("machine.ops.vinter") == 1
+        assert once.counters.get("machine.bursts") == 2
+        cats = [e.cat for e in once.tracer.events]
+        assert cats.count("burst") == 1 and cats[-1] == "fetch"
+
+    def test_timeline_is_contiguous(self):
+        events = _probed_program(Machine.freeze).tracer.events
+        ops = [e for e in events if e.cat == "su"]
+        stalls = {e.ts: e.dur for e in events if e.cat == "stall"}
+        for op, nxt in zip(ops, ops[1:]):
+            assert nxt.ts == op.ts + op.dur + stalls.get(op.ts + op.dur, 0)
+        burst = next(e for e in events if e.cat == "burst")
+        assert burst.args["ops"] == 2
+        assert burst.ts == ops[1].ts
+
+
 # -- vinter_sweep against the per-op loop ---------------------------------
 
 
@@ -195,7 +254,7 @@ def _assert_same_recording(plan, probes=(None, None)):
     for out, ref in zip(got_out, want_out):
         assert out.dtype == ref.dtype
         assert out.tobytes() == ref.tobytes()
-    trace, ref_trace = got.trace.freeze(), want.trace.freeze()
+    trace, ref_trace = got.freeze(), want.freeze()
     for field in _ARRAY_FIELDS:
         col, ref = getattr(trace, field), getattr(ref_trace, field)
         assert col.dtype == ref.dtype, field

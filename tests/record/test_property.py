@@ -24,11 +24,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.arch.trace import _ARRAY_FIELDS, _SCALAR_FIELDS, Trace
+from repro.arch.trace import _ARRAY_FIELDS, _SCALAR_FIELDS
 from repro.machine.context import Machine
 from repro.perf.cache import RunCache
 from repro.record.columnar import ColumnarTrace
-from repro.streams.runstats import UNBOUNDED, analyze_pair
+from repro.streams.runstats import UNBOUNDED
+from tests.recorders import RowsTrace
 
 _KEYS = st.lists(st.integers(min_value=0, max_value=300),
                  min_size=0, max_size=40)
@@ -47,14 +48,12 @@ class _TeeTrace(ColumnarTrace):
 
     __slots__ = ("reference",)
 
-    def __init__(self, name="trace", **kwargs):
-        super().__init__(name, **kwargs)
-        self.reference = Trace(name)
+    def __init__(self, name="trace", *, width):
+        super().__init__(name, width=width)
+        self.reference = RowsTrace(name, width=width)
 
     def add_op_keys(self, kind, a_keys, b_keys, bound=UNBOUNDED, **op):
-        self.reference.add_op(
-            kind, analyze_pair(a_keys, b_keys, bound, width=self._width),
-            **op)
+        self.reference.add_op_keys(kind, a_keys, b_keys, bound, **op)
         super().add_op_keys(kind, a_keys, b_keys, bound, **op)
 
 

@@ -102,7 +102,7 @@ class TestAnalyzePair:
         assert st.su_cycles_intersect == 2  # [1,2] windowed + match [5]
 
     def test_terminal_exemption_matches_vectorized_path(self):
-        # Same structure above/below the _SMALL_OP_THRESHOLD crossover.
+        # Short and long operands both match the stepped StreamUnit.
         a = keys(*range(0, 300, 3))
         b = keys(*range(0, 90, 2))
         small = analyze_pair(a[:20], b[:20])
