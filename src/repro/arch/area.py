@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.arch.config import SparseCoreConfig
+
 #: Synthesized frequency of the stream components (Section 5.2): high
 #: enough that the extension "will not affect the latency of the
 #: baseline processor".
@@ -85,6 +87,10 @@ SCRATCHPAD_AREA_SHARE = 0.12
 #: SMT + stream registers + control (fixed).
 FIXED_AREA_SHARE = 0.08
 
+#: The synthesized Table 2 point the modelled area scales around, built
+#: once: the explorer asks for an area at every grid point.
+_TABLE2_SPARSECORE = SparseCoreConfig()
+
 
 def sparsecore_area_mm2(config=None) -> float:
     """Modelled silicon of the stream extension for one configuration.
@@ -95,10 +101,8 @@ def sparsecore_area_mm2(config=None) -> float:
     This is the cost axis of the explorer's Pareto fronts (cycles vs.
     area), so it answers to the same fields as the cycles do.
     """
-    from repro.arch.config import SparseCoreConfig
-
-    cfg = config if config is not None else SparseCoreConfig()
-    default = SparseCoreConfig()
+    cfg = config if config is not None else _TABLE2_SPARSECORE
+    default = _TABLE2_SPARSECORE
     su = SU_AREA_SHARE * (cfg.num_sus / default.num_sus)
     scache = SCACHE_AREA_SHARE * (
         0.5 * cfg.scache_bandwidth / default.scache_bandwidth + 0.5)

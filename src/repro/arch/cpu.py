@@ -32,6 +32,21 @@ from repro.arch.trace import CycleReport, FrozenTrace, Trace
 VALUE_GATHER_CYCLES = 2.0
 
 
+def cpu_sums(t: FrozenTrace) -> dict[str, float]:
+    """The config-free column sums the CPU model reads, memoised on ``t``.
+
+    Each column is summed once per trace, so every further
+    :class:`CpuModel` config prices ``t`` in O(1).
+    """
+    sums = t._cpu_sums
+    if not sums:
+        sums.update(steps=float(t.cpu_steps.sum()),
+                    flops=float(t.flop_pairs.sum()),
+                    dir_changes=float(t.dir_changes.sum()),
+                    mem=float(t.cpu_mem.sum()))
+    return sums
+
+
 class CpuModel:
     """Cost model of the baseline out-of-order core."""
 
@@ -43,19 +58,20 @@ class CpuModel:
     def cost(self, trace: Trace | FrozenTrace) -> CycleReport:
         t = trace.freeze()
         c = self.config
+        sums = cpu_sums(t)
 
-        steps = float(t.cpu_steps.sum())
+        steps = sums["steps"]
         intersection = steps * c.cycles_per_step
         # Value work: one FLOP pair per match + gather overhead.
-        flops = float(t.flop_pairs.sum())
+        flops = sums["flops"]
         intersection += flops * (c.flop_cycles_per_pair + VALUE_GATHER_CYCLES)
 
-        branch = float(t.dir_changes.sum()) * c.mispredict_rate \
+        branch = sums["dir_changes"] * c.mispredict_rate \
             * c.mispredict_penalty
         # Each op ends with a mispredicted loop-exit branch.
         branch += t.num_ops * c.mispredict_penalty * c.mispredict_rate
 
-        cache = float(t.cpu_mem.sum())
+        cache = sums["mem"]
 
         scalar_instrs = t.shared_scalar_instrs + t.cpu_only_scalar_instrs
         other = scalar_instrs * c.scalar_cpi

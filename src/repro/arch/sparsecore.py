@@ -112,15 +112,24 @@ def _reduce_segments(t: FrozenTrace, implicit_overlap: int,
                     sc_mem=float(t.sc_mem.sum()))
 
 
+def segment_key(config: SparseCoreConfig) -> tuple:
+    """The fields a segment reduction reads:
+    ``(implicit_overlap, flop_cycles_per_pair)``.  Configs with equal
+    keys share one reduction of a trace."""
+    return (config.implicit_overlap, config.flop_cycles_per_pair)
+
+
 def trace_segments(t: FrozenTrace, config: SparseCoreConfig) -> Segments:
     """``t``'s segment reduction under ``config``, memoised on ``t``.
 
     A trace re-priced at many design points (the Figure 12/13 variants,
     every :mod:`repro.explore` grid point) reduces its segments once
-    per distinct key; each further config costs one pass of
-    :meth:`Segments.times`.
+    per distinct :func:`segment_key`; each further config costs one
+    pass of :meth:`Segments.times`.  Pricing more keys than the memo
+    holds in an interleaved order re-reduces, so callers pricing many
+    points group them by key.
     """
-    key = (config.implicit_overlap, config.flop_cycles_per_pair)
+    key = segment_key(config)
     memo = t._segments
     segments = memo.get(key)
     if segments is None:

@@ -179,9 +179,12 @@ class FrozenTrace:
     shared_scalar_instrs: int
     cpu_only_scalar_instrs: int
     sc_only_scalar_instrs: int
-    #: SparseCore segment reductions, filled by the cost model on first
-    #: use; derived data, so never saved, compared or shown
+    #: SparseCore segment reductions and the CPU model's column sums,
+    #: filled by the cost models on first use; derived data, so never
+    #: saved, compared or shown
     _segments: dict = field(default_factory=dict, init=False, repr=False,
+                            compare=False)
+    _cpu_sums: dict = field(default_factory=dict, init=False, repr=False,
                             compare=False)
 
     @classmethod

@@ -7,11 +7,19 @@ tractable.  Phase 1 records, through the parallel engine, only the
 workloads whose trace the content-addressed cache lacks.  Phase 2
 reads each workload's trace **once** and prices every grid point from
 that one in-memory :class:`~repro.arch.trace.FrozenTrace`, each under
-its own :class:`~repro.arch.config.MachineConfigs`.  The SparseCore
-model memoises the trace's segment reduction, so each further point
-costs a few vector passes over the segments.  An N-point sweep
-therefore costs at most one recording, one cache read and N pricings
-per workload.
+its own :class:`~repro.arch.config.MachineConfigs`.  A row keeps only
+the CPU and SparseCore cycles and their ratio, so a point is one
+:class:`~repro.arch.cpu.CpuModel` and one
+:class:`~repro.arch.sparsecore.SparseCoreModel` cost, not the full
+figure pricing of :func:`~repro.workloads.price_run`.  The CPU model
+memoises its column sums on the trace (each further point is O(1)) and
+the SparseCore model its segment reduction per
+:func:`~repro.arch.sparsecore.segment_key` (each further point is one
+vector pass over the segments); points are priced grouped by that key,
+so each distinct key is reduced once whatever the axis order.  An
+N-point sweep therefore costs at most one recording, one cache read,
+one reduction per distinct segment key and N pairs of model costs per
+workload.
 
 Outputs per workload: the priced grid (cycles, speedup, modelled area
 from :func:`~repro.arch.area.sparsecore_area_mm2`), the Pareto front
@@ -28,6 +36,8 @@ from dataclasses import asdict, dataclass, field
 
 from repro.arch.area import sparsecore_area_mm2
 from repro.arch.config import get_preset
+from repro.arch.cpu import CpuModel
+from repro.arch.sparsecore import SparseCoreModel, segment_key
 from repro.errors import ConfigError
 from repro.explore.axes import GridPoint, grid_points, parse_axes
 from repro.explore.pareto import pareto_flags
@@ -162,15 +172,15 @@ def run_sweep(workloads, axes, *, preset: str = "paper",
     :func:`~repro.perf.cache.default_run_cache`) through
     :func:`repro.perf.engine.run_jobs_report` over ``workers``
     processes.  Phase 2 reads each trace once and prices every grid
-    point from it in this process.  Pricing is deterministic, so a
-    point whose pricing raises is reported once, never retried; a
-    workload whose trace can be neither read nor recorded skips its
-    points.
+    point from it in this process, grouped by segment key; rows keep
+    point order.  Pricing is deterministic, so a point whose pricing
+    raises is reported once, never retried; a workload whose trace can
+    be neither read nor recorded skips its points.
     """
     from repro.obs.spans import clock
     from repro.perf.cache import RunCache, default_run_cache
     from repro.perf.engine import RunJob, job_key, run_jobs_report
-    from repro.workloads import price_run, run_fingerprint, run_workload
+    from repro.workloads import run_fingerprint, run_workload
 
     axes = parse_axes([a for a in axes if isinstance(a, str)]) \
         if all(isinstance(a, str) for a in axes) else tuple(axes)
@@ -178,10 +188,13 @@ def run_sweep(workloads, axes, *, preset: str = "paper",
         raise ConfigError("a sweep needs at least one --axis")
     base = get_preset(preset)
     points: list[GridPoint] = grid_points(axes, base)
-    # Per-point facts shared by every workload's row.
-    facts = [(point, point.fingerprint(),
-              sparsecore_area_mm2(point.config.sparsecore))
-             for point in points]
+    # Per-point facts shared by every workload's row, in pricing order:
+    # grouped by segment key (a stable sort), so each trace reduces its
+    # segments once per key however many keys the memo can hold.
+    facts = sorted(((point, point.fingerprint(),
+                     sparsecore_area_mm2(point.config.sparsecore))
+                    for point in points),
+                   key=lambda fact: segment_key(fact[0].config.sparsecore))
     axis_fields = [a.field for a in axes]
 
     specs = []
@@ -229,30 +242,32 @@ def run_sweep(workloads, axes, *, preset: str = "paper",
             report.failures.append(_failure(key, exc))
             continue
         misses += not run.cached
+        rows = {}
         for point, fp, area in facts:
             t0 = time.perf_counter()
             try:
-                metrics = price_run(spec, dspec.key, run.trace,
-                                    lengths=run.lengths, meta=run.meta,
-                                    configs=point.config)
+                # The row's three columns, formed as price_run forms them.
+                cpu = CpuModel(point.config.cpu).cost(run.trace)
+                sc = SparseCoreModel(point.config.sparsecore).cost(run.trace)
             except Exception as exc:
                 report.failures.append(
                     _failure(f"{key} [{point.label}]", exc))
                 continue
             wall = time.perf_counter() - t0
-            sweep.rows.append({
+            rows[point.index] = {
                 "point": point.index,
                 "values": [list(v) for v in point.values],
                 "config_fingerprint": fp,
                 "area_mm2": area,
-                "sc_cycles": metrics["sc_cycles"],
-                "cpu_cycles": metrics["cpu_cycles"],
-                "speedup_vs_cpu": metrics["speedup_vs_cpu"],
+                "sc_cycles": sc.total_cycles,
+                "cpu_cycles": cpu.total_cycles,
+                "speedup_vs_cpu": sc.speedup_over(cpu),
                 "wall_seconds": round(wall, 6),
-            })
+            }
             led.span_of("explore.point", wall, workload=spec.name,
                         dataset=dspec.key, point=point.index,
                         axis=point.label, cfg=fp)
+        sweep.rows = [rows[index] for index in sorted(rows)]
 
     for sweep in report.workloads:
         flags = pareto_flags(sweep.rows, "area_mm2", "sc_cycles")

@@ -309,10 +309,17 @@ class Machine:
                                                    dur + sc)))
         self._clocks = np.concatenate((self._clocks[:-1], clocks))
         marks, m = self._marks, 0
+        events, cap = tracer.events, tracer.max_events
         for i, (k, clock, d, stall, burst, n, elems) in enumerate(
                 zip(kind.tolist(), clocks.tolist(), dur.tolist(),
                     sc.tolist(), t.burst[lo:hi].tolist(), matches.tolist(),
                     eff.tolist()), lo):
+            if len(events) >= cap:
+                # Full: every remaining op span, stall span and queued
+                # mark would be dropped one call at a time; count them.
+                tracer.dropped += (hi - i + len(marks) - m
+                                   + int(np.count_nonzero(sc[i - lo:] > 0)))
+                break
             while m < len(marks) and marks[m][0] == i:
                 marks[m][1](self._clocks)
                 m += 1
@@ -321,8 +328,9 @@ class Machine:
             if stall > 0:
                 tracer.span("stall", "stall", clock + d, stall, tid=1,
                             cycles=stall)
-        for _, emit in marks[m:]:
-            emit(self._clocks)
+        else:
+            for _, emit in marks[m:]:
+                emit(self._clocks)
         self._marks = []
 
     # -- compute ops -------------------------------------------------------------

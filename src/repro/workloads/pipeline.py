@@ -148,9 +148,10 @@ def run_workload(workload: str | WorkloadSpec, dataset: str | None = None,
     own pricing, e.g. the profiler, use the trace directly).  Metrics
     are priced under the ``paper`` machine pair; other design points
     re-price the returned trace with
-    :func:`~repro.workloads.pricing.price_run` (``configs=``), as
-    :mod:`repro.explore` sweeps do — recording is config-independent,
-    so the trace cache key holds no config.
+    :func:`~repro.workloads.pricing.price_run` (``configs=``), or with
+    just the models they need, as :mod:`repro.explore` sweeps do —
+    recording is config-independent, so the trace cache key holds no
+    config.
     """
     from repro.obs.spans import clock
     from repro.resilience.faults import inject

@@ -10,9 +10,10 @@ Every function takes the :class:`~repro.arch.config.MachineConfigs`
 bundle it prices under (``None`` = the ``paper`` preset, Table 2); no
 model instantiates its own configuration.  The Figure 12/13 SU and
 bandwidth sweep variants derive from the *passed* config via
-:func:`~repro.arch.config.config_variant`, so sweeping a non-default
-design point sweeps around *that* point — which is exactly what the
-:mod:`repro.explore` harness builds on.
+:func:`~repro.arch.config.config_variant`, so pricing a non-default
+design point sweeps around *that* point.  :mod:`repro.explore` rows
+need none of the figure tables, so a sweep prices each grid point with
+one CPU and one SparseCore cost and does not come through here.
 """
 
 from __future__ import annotations
@@ -66,9 +67,9 @@ def sweep_cycle_table(trace, sc_config, field_name: str,
     Prices the fixed Figure 12 SU sweep and Figure 13 bandwidth sweep
     of every GPM run, each design point derived from ``sc_config`` via
     :func:`~repro.arch.config.config_variant`.  :mod:`repro.explore`
-    builds its own grid points (``grid_points``/``config_variant``) and
-    reaches this helper only through those two tables of
-    :func:`price_run`.
+    does not reach it: a sweep builds its own grid points
+    (``grid_points``/``config_variant``) and prices each with one
+    SparseCore cost.
     """
     return {
         value: SparseCoreModel(config_variant(sc_config, field_name, value))

@@ -1,12 +1,14 @@
 """Tests for the trace container and the CPU/SparseCore cost models."""
 
 import dataclasses
+import io
+import zipfile
 
 import numpy as np
 import pytest
 
 from repro.arch import CpuModel, SparseCoreModel, Trace
-from repro.arch.config import SparseCoreConfig, config_variant
+from repro.arch.config import CpuConfig, SparseCoreConfig, config_variant
 from repro.arch.sparsecore import SEGMENT_MEMO_ENTRIES
 from repro.arch.trace import (
     _ARRAY_FIELDS,
@@ -254,3 +256,44 @@ class TestSegmentMemo:
                                                  "scalars"))
         assert "_segments" not in repr(t)
         assert not FrozenTrace.load(tmp_path / "t.npz")._segments
+
+
+def _archive(t: FrozenTrace) -> bytes:
+    buf = io.BytesIO()
+    t.save(buf)
+    return buf.getvalue()
+
+
+def _members(archive: bytes) -> dict:
+    """The archive's member contents (its zip headers carry the clock)."""
+    with zipfile.ZipFile(io.BytesIO(archive)) as z:
+        return {name: z.read(name) for name in z.namelist()}
+
+
+class TestCpuMemo:
+    CONFIGS = [CpuConfig(), CpuConfig(cycles_per_step=1.0, scalar_cpi=2.0),
+               CpuConfig(mispredict_penalty=30, mispredict_rate=0.2),
+               CpuConfig(flop_cycles_per_pair=4.0)]
+
+    @pytest.mark.parametrize("build", [mixed_trace, Trace, burst_only_trace],
+                             ids=["mixed", "empty", "burst-only"])
+    def test_memo_cannot_be_seen(self, build):
+        t = build().freeze()
+        twin = FrozenTrace(**{f.name: getattr(t, f.name)
+                              for f in dataclasses.fields(FrozenTrace)
+                              if f.init})
+        archive = _archive(t)
+
+        def fresh() -> FrozenTrace:
+            with np.load(io.BytesIO(archive)) as data:
+                return FrozenTrace.from_npz(data)
+
+        for config in self.CONFIGS:
+            for _ in range(2):
+                got = CpuModel(config).cost(t)
+                want = CpuModel(config).cost(fresh())
+                assert dataclasses.asdict(got) == dataclasses.asdict(want)
+        assert t._cpu_sums and not fresh()._cpu_sums
+        assert _members(_archive(t)) == _members(archive)
+        assert t == twin
+        assert "_cpu_sums" not in repr(t)

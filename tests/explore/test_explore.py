@@ -254,24 +254,97 @@ def test_warm_sweep_reads_each_trace_once(tmp_path, monkeypatch):
     assert sum(len(w.rows) for w in warm.workloads) == 10
 
 
+#: Two values of every sweepable field, one grid over all seven axes.
+ALL_AXES = {"num_sus": "1,8", "scache_bandwidth": "8,64",
+            "op_issue_cycles": "1.0,3.0", "nested_translate_cycles": "0.5,2.0",
+            "implicit_overlap": "1,4", "scalar_cpi": "0.4,1.0",
+            "flop_cycles_per_pair": "0.5,2.0"}
+
+#: One workload per family, on small suite datasets.
+FAMILY_WORKLOADS = {"triangle": None, "spmspm": "laser",
+                    "ttv": "chicago_crime"}
+
+
 def test_sweep_rows_match_the_pipeline_per_point(tmp_path):
+    from repro.arch.config import sweepable_fields
     from repro.workloads import get_workload, price_run, run_workload
 
-    axes = ["implicit_overlap=1,4", "num_sus=2,8",
-            "flop_cycles_per_pair=0.5,2.0"]
+    assert sorted(ALL_AXES) == sorted(sweepable_fields())
+    axes = [f"{field}={values}" for field, values in ALL_AXES.items()]
+    report = run_sweep(list(FAMILY_WORKLOADS), axes,
+                       datasets=FAMILY_WORKLOADS, scale=0.3,
+                       cache_dir=tmp_path)
+    assert report.ok
+    points = grid_points(parse_axes(axes), default_configs())
+    assert len(points) == 2 ** len(ALL_AXES)
+    for sweep in report.workloads:
+        spec = get_workload(sweep.workload)
+        rec = run_workload(spec, sweep.dataset, sweep.scale, cache=None,
+                           price=False)
+        assert [r["point"] for r in sweep.rows] \
+            == [p.index for p in points]
+        for row, point in zip(sweep.rows, points):
+            metrics = price_run(spec, rec.dataset, rec.trace,
+                                lengths=rec.lengths, meta=rec.meta,
+                                configs=point.config)
+            assert row["config_fingerprint"] == point.fingerprint()
+            for column in ("sc_cycles", "cpu_cycles", "speedup_vs_cpu"):
+                assert row[column] == metrics[column], \
+                    (sweep.workload, point.label, column)
+
+
+def test_warm_sweep_prices_one_cpu_and_one_sparsecore_cost_per_point(
+        tmp_path, monkeypatch):
+    import repro.accel as accel
+    from repro.arch.cpu import CpuModel
+    from repro.arch.sparsecore import SparseCoreModel
+
+    args = (list(FAMILY_WORKLOADS), ["num_sus=1,4", "implicit_overlap=1,2"])
+    kwargs = {"datasets": FAMILY_WORKLOADS, "scale": 0.3,
+              "cache_dir": tmp_path}
+    run_sweep(*args, **kwargs)
+
+    calls: dict[str, int] = {}
+    models = [CpuModel, SparseCoreModel,
+              *(getattr(accel, name) for name in accel.__all__
+                if name.endswith("Model"))]
+    for model in models:
+        def counting(self, trace, *rest, _cost=model.cost, **kw):
+            calls[type(self).name] = calls.get(type(self).name, 0) + 1
+            return _cost(self, trace, *rest, **kw)
+        monkeypatch.setattr(model, "cost", counting)
+    warm = run_sweep(*args, **kwargs)
+    assert warm.ok and warm.cache["misses"] == 0
+    n = sum(len(w.rows) for w in warm.workloads)
+    assert n == 3 * 4
+    assert calls == {"cpu": n, "sparsecore": n}
+
+
+@pytest.mark.parametrize("axes", [
+    ["num_sus=1,2", "implicit_overlap=1,2,4",
+     "flop_cycles_per_pair=0.5,1.0,2.0"],
+    ["flop_cycles_per_pair=0.5,1.0,2.0", "implicit_overlap=1,2,4",
+     "num_sus=1,2"],
+], ids=["segment-fields-vary-fastest", "segment-fields-vary-slowest"])
+def test_sweep_reduces_segments_once_per_key(axes, tmp_path, monkeypatch):
+    import repro.arch.sparsecore as sparsecore
+
+    run_sweep(["triangle"], axes, scale=0.3, cache_dir=tmp_path)
+    reductions = []
+    reduce_segments = sparsecore._reduce_segments
+
+    def counting(t, *key):
+        reductions.append(key)
+        return reduce_segments(t, *key)
+
+    monkeypatch.setattr(sparsecore, "_reduce_segments", counting)
     report = run_sweep(["triangle"], axes, scale=0.3, cache_dir=tmp_path)
     points = grid_points(parse_axes(axes), default_configs())
-    rows = report.workloads[0].rows
-    assert len(rows) == len(points) == 8
-    spec = get_workload("triangle")
-    rec = run_workload(spec, None, 0.3, cache=None, price=False)
-    for row, point in zip(rows, points):
-        metrics = price_run(spec, rec.dataset, rec.trace,
-                            lengths=rec.lengths, meta=rec.meta,
-                            configs=point.config)
-        assert row["config_fingerprint"] == point.fingerprint()
-        for column in ("sc_cycles", "cpu_cycles", "speedup_vs_cpu"):
-            assert row[column] == metrics[column], (point.label, column)
+    keys = {sparsecore.segment_key(p.config.sparsecore) for p in points}
+    assert len(keys) == 9 > sparsecore.SEGMENT_MEMO_ENTRIES
+    assert sorted(reductions) == sorted(keys)
+    assert [r["point"] for r in report.workloads[0].rows] \
+        == [p.index for p in points]
 
 
 def test_sweep_rejects_empty_axes(tmp_path):

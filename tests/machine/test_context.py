@@ -155,10 +155,10 @@ class TestAppRunHelpers:
 # -- probed machines observe their ops in freeze() -------------------------
 
 
-def _probed_program(freeze):
+def _probed_program(freeze, max_events=200_000):
     """A small probed run that calls ``freeze`` mid-run, once inside an
     open burst; returns its probe after a final ``Machine.freeze``."""
-    probe = Probe.collecting()
+    probe = Probe.collecting(max_events=max_events)
     m = Machine(probe=probe)
     a = m.load(keys(1, 3, 5, 7), ("a", 0))
     b = m.load_values(keys(3, 5, 8), np.ones(3), ("b", 0))
@@ -199,6 +199,15 @@ class TestProbedFreeze:
         assert once.counters.get("machine.bursts") == 2
         cats = [e.cat for e in once.tracer.events]
         assert cats.count("burst") == 1 and cats[-1] == "fetch"
+
+    @pytest.mark.parametrize("freeze", [lambda m: None, Machine.freeze],
+                             ids=["once", "often"])
+    def test_capped_tracer_keeps_the_uncapped_prefix(self, freeze):
+        full = _probed_program(freeze).tracer.events
+        for cap in range(len(full) + 1):
+            tracer = _probed_program(freeze, max_events=cap).tracer
+            assert tracer.events == full[:cap], cap
+            assert tracer.dropped == len(full) - cap, cap
 
     def test_timeline_is_contiguous(self):
         events = _probed_program(Machine.freeze).tracer.events

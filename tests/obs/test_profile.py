@@ -67,11 +67,15 @@ class TestProfileWorkload:
         assert "cycle attribution" in text
         assert "counters" in text
 
-    def test_event_cap_respected(self):
+    def test_event_cap_respected(self, triangle_profile):
+        # A capped run keeps the uncapped run's first events and counts
+        # every other one as dropped.
+        full = triangle_profile.tracer
+        assert full.dropped == 0 and len(full.events) > 50
         result = profile_workload("triangle",
                                   ProfileArgs(scale=0.3, max_events=50))
-        assert len(result.tracer.events) == 50
-        assert result.tracer.dropped > 0
+        assert result.tracer.events == full.events[:50]
+        assert result.tracer.dropped == len(full.events) - 50
 
 
 class TestCli:
