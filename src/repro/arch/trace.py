@@ -181,7 +181,7 @@ class FrozenTrace:
     sc_only_scalar_instrs: int
     #: SparseCore segment reductions and the CPU model's column sums,
     #: filled by the cost models on first use; derived data, so never
-    #: saved, compared or shown
+    #: saved, compared (see ``__eq__``) or shown
     _segments: dict = field(default_factory=dict, init=False, repr=False,
                             compare=False)
     _cpu_sums: dict = field(default_factory=dict, init=False, repr=False,
@@ -196,6 +196,21 @@ class FrozenTrace:
         return cls(name, *(np.asarray(col, dtype=dtype)
                            for col, (_, dtype) in zip(columns, COLUMNS)),
                    *scalar_counts)
+
+    def __eq__(self, other) -> bool:
+        """Same name, scalar counts and :data:`COLUMNS` (dtypes and
+        values); the derived memos are not compared."""
+        if not isinstance(other, FrozenTrace):
+            return NotImplemented
+        if self.name != other.name or any(
+                getattr(self, name) != getattr(other, name)
+                for name in _SCALAR_FIELDS):
+            return False
+        for name in _ARRAY_FIELDS:
+            mine, theirs = getattr(self, name), getattr(other, name)
+            if mine.dtype != theirs.dtype or not np.array_equal(mine, theirs):
+                return False
+        return True
 
     @property
     def num_ops(self) -> int:

@@ -9,15 +9,18 @@ final pattern vertex.
 The loop nest follows the compiled structure exactly: candidate sets
 are built with bounded intersections/subtractions (plus an explicit
 subtraction of the already-matched vertex set when the plan requires
-it, as in the paper's Figure 2), and the final counting level uses
-either a counting operation or ``S_NESTINTER`` when the plan enabled
-the nested optimization.
+it, as in the paper's Figure 2).  The final, counting level is
+recorded in bulk under each DFS node of the level before it: one
+:meth:`~repro.machine.context.Machine.count_sweep` counts every child's
+candidates, or one ``S_NESTINTER`` when the plan enabled the nested
+optimization.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.arch.trace import OpKind
 from repro.gpm.plan import LevelPlan, MatchingPlan
 from repro.machine.context import Machine, StreamOperand
 from repro.streams.runstats import UNBOUNDED
@@ -84,10 +87,9 @@ class _PlanRunner:
         return self.machine.neighbors(self.graph, self.matched[position],
                                       priority)
 
-    def _candidates(self, level: LevelPlan, *,
-                    counting: bool) -> StreamOperand | int:
-        """Build the candidate set of ``level``; when ``counting``, the
-        final operation is a counting variant and an int is returned."""
+    def _candidates(self, level: LevelPlan) -> StreamOperand:
+        """Build the candidate set of ``level`` one op at a time (a
+        counting run records its last level with :meth:`_count_leaves`)."""
         machine = self.machine
         bound = self._bound(level)
         priority = 1 if level.position < self.plan.depth - 1 else 0
@@ -106,41 +108,58 @@ class _PlanRunner:
             )
             steps.append(("sub", StreamOperand(matched_keys)))
 
-        # Label constraints are a per-candidate O(1) check in the
-        # generated code (not a set operation): filter functionally and
-        # charge both machines the scalar comparison per candidate.
-        needs_filter = level.label is not None
-
         base = self._neighbors(level.connected[0], priority)
         if not steps:
             # A pure bounded edge list: its size needs no stream op,
             # only the CSR offset / a searchsorted (free on both).
             keys = base.keys
             if bound != UNBOUNDED:
-                keys = keys[: int(np.searchsorted(keys, bound))]
-            operand = StreamOperand(keys, pending_cpu=base.pending_cpu,
-                                    pending_sc=base.pending_sc)
-            if needs_filter:
-                operand = self._label_filter(operand, level.label)
-            return int(operand.keys.size) if counting else operand
-
-        cand: StreamOperand = base
-        for i, (kind, operand) in enumerate(steps):
-            last = i == len(steps) - 1
-            count_here = last and counting and not needs_filter
-            if kind == "inter":
-                if count_here:
-                    return machine.intersect_count(cand, operand, bound)
-                cand = machine.intersect(cand, operand, bound)
-            else:
-                if count_here:
-                    return machine.subtract_count(cand, operand, bound)
-                cand = machine.subtract(cand, operand, bound)
-        if needs_filter:
+                keys = keys[: int(keys.searchsorted(bound))]
+            cand = StreamOperand(keys, pending_cpu=base.pending_cpu,
+                                 pending_sc=base.pending_sc)
+        else:
+            cand = base
+            for kind, operand in steps:
+                if kind == "inter":
+                    cand = machine.intersect(cand, operand, bound)
+                else:
+                    cand = machine.subtract(cand, operand, bound)
+        # Label constraints are a per-candidate O(1) check in the
+        # generated code (not a set operation): filter functionally and
+        # charge both machines the scalar comparison per candidate.
+        if level.label is not None:
             cand = self._label_filter(cand, level.label)
-            if counting:
-                return int(cand.keys.size)
         return cand
+
+    def _count_leaves(self, children: np.ndarray) -> int:
+        """Count the last level's candidates under each of ``children``
+        (the vertices matched at the level before it), recording the
+        whole level with one :meth:`Machine.count_sweep` call: the ops
+        and loads :meth:`_candidates` makes for it, child by child, with
+        a counting final op."""
+        level = self.plan.levels[-1]
+        here, n = len(self.matched), children.size
+        rows = level.connected[1:] + level.disconnected + level.connected[:1]
+        verts = np.empty((len(rows), n), dtype=np.int64)
+        for i, q in enumerate(rows):
+            verts[i] = children if q == here else self.matched[q]
+        kinds = (OpKind.INTERSECT,) * (len(level.connected) - 1) \
+            + (OpKind.SUBTRACT,) * len(level.disconnected)
+        bounds = None
+        if level.upper_bounds:
+            fixed = [self.matched[q] for q in level.upper_bounds if q != here]
+            bounds = np.full(n, min(fixed)) if fixed else children
+            if fixed and here in level.upper_bounds:
+                bounds = np.minimum(bounds, children)
+        exclude = None
+        if level.subtract_positions:
+            exclude = np.empty((n, len(level.subtract_positions)),
+                               dtype=np.int64)
+            for i, q in enumerate(level.subtract_positions):
+                exclude[:, i] = children if q == here else self.matched[q]
+            exclude.sort(axis=1)
+        return self.machine.count_sweep(self.graph, verts, kinds, bounds,
+                                        exclude=exclude, label=level.label)
 
     def _label_filter(self, operand: StreamOperand,
                       label: int) -> StreamOperand:
@@ -157,36 +176,34 @@ class _PlanRunner:
     # -- recursion -----------------------------------------------------------------
 
     def run(self) -> int:
-        depth = self.plan.depth
-        nested_at = depth - 2 if self.plan.use_nested else None
-        for v0 in self._level_zero_vertices().tolist():
-            self.matched.append(v0)
-            self._loop_tick()
-            if depth == 1:
-                self.count += 1
-            else:
-                self._descend(1, nested_at)
-            self.matched.pop()
-            self._flush_scalar()
+        self._match(0, self._level_zero_vertices())
+        self._flush_scalar()
         return self.count
 
-    def _descend(self, position: int, nested_at: int | None) -> None:
-        level = self.plan.levels[position]
-        last = position == self.plan.depth - 1
-        if last:
-            result = self._candidates(level, counting=True)
-            self.count += int(result)
+    def _match(self, position: int, vertices: np.ndarray) -> None:
+        """Match each of ``vertices`` at ``position`` in turn and count
+        the embeddings that extend the matched prefix."""
+        self._pending_scalar += LOOP_INSTRS * vertices.size
+        depth = self.plan.depth
+        if position == depth - 1:  # a one-level plan
+            self.count += vertices.size
             return
-        cand = self._candidates(level, counting=False)
-        assert isinstance(cand, StreamOperand)
-        if position == nested_at:
-            self.count += self.machine.nest_intersect(cand, self.graph)
+        if position == depth - 2:
+            if vertices.size:
+                self.count += self._count_leaves(vertices)
             return
-        for v in cand.keys.tolist():
+        level = self.plan.levels[position + 1]
+        nested = self.plan.use_nested and position + 1 == depth - 2
+        for v in vertices.tolist():
             self.matched.append(v)
-            self._loop_tick()
-            self._descend(position + 1, nested_at)
+            cand = self._candidates(level)
+            if nested:
+                self.count += self.machine.nest_intersect(cand, self.graph)
+            else:
+                self._match(position + 1, cand.keys)
             self.matched.pop()
+            if position == 0:
+                self._flush_scalar()
 
     # -- enumeration (FSM) ------------------------------------------------------------
 
@@ -221,8 +238,7 @@ class _PlanRunner:
 
     def _enum_complete_descend(self, position: int):
         level = self.plan.levels[position]
-        cand = self._candidates(level, counting=False)
-        assert isinstance(cand, StreamOperand)
+        cand = self._candidates(level)
         last = position == self.plan.depth - 1
         for v in cand.keys.tolist():
             self.matched.append(v)
@@ -236,8 +252,7 @@ class _PlanRunner:
     def _enumerate_descend(self, position: int):
         level = self.plan.levels[position]
         last = position == self.plan.depth - 1
-        cand = self._candidates(level, counting=False)
-        assert isinstance(cand, StreamOperand)
+        cand = self._candidates(level)
         if last:
             if cand.keys.size:
                 yield (tuple(self.matched), cand.keys)

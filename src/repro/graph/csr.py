@@ -34,7 +34,8 @@ class CSRGraph:
         Display name (dataset registry fills this in).
     """
 
-    __slots__ = ("indptr", "indices", "offsets", "labels", "name")
+    __slots__ = ("indptr", "indices", "offsets", "labels", "name",
+                 "_edge_keys")
 
     def __init__(
         self,
@@ -56,6 +57,7 @@ class CSRGraph:
             raise PatternError("labels must have one entry per vertex")
         self.name = name
         self.offsets = self._compute_offsets()
+        self._edge_keys: np.ndarray | None = None
 
     # -- construction -----------------------------------------------------
 
@@ -140,6 +142,21 @@ class CSRGraph:
 
     def degree(self, v: int) -> int:
         return int(self.indptr[v + 1] - self.indptr[v])
+
+    @property
+    def edge_keys(self) -> np.ndarray:
+        """``u * num_vertices + v`` for every edge ``(u, v)`` in CSR order
+        (strictly increasing; built on first use).
+
+        One ``searchsorted`` over it answers a whole batch of edge
+        tests, or cuts a batch of edge lists at their bounds: the keys
+        of ``N(u)`` below ``b`` end at ``searchsorted(u * num_vertices
+        + b)``."""
+        if self._edge_keys is None:
+            n = self.num_vertices
+            self._edge_keys = np.repeat(
+                np.arange(n, dtype=np.int64) * n, self.degrees) + self.indices
+        return self._edge_keys
 
     def neighbors(self, v: int) -> np.ndarray:
         """Sorted neighbor list of ``v`` (zero-copy CSR slice)."""

@@ -7,8 +7,11 @@ instructions, ``vinter``/``vmerge`` for the value instructions, and
 ``nest_intersect`` for ``S_NESTINTER``.  Each call returns the
 functional result and appends one record to the trace; stream loads
 charge the paired CPU/SparseCore memory models at the moment the data
-would move.  ``vinter_sweep`` records a whole row of ``S_VREAD`` +
-``S_VINTER`` pairs in one call, exactly as the per-pair calls would.
+would move.  Three calls record many ops at once, exactly as the
+per-op calls would: ``vinter_sweep`` a whole row of ``S_VREAD`` +
+``S_VINTER`` pairs, ``count_sweep`` a whole GPM counting level under
+one DFS node, and ``nest_intersect`` every sub-op of one
+``S_NESTINTER``.
 Every op is recorded through
 :meth:`~repro.record.columnar.ColumnarTrace.add_op_keys`, probed or
 not; :meth:`Machine.freeze` freezes the trace and, under a probe,
@@ -39,7 +42,7 @@ from repro.errors import StreamTypeFault
 from repro.obs.probe import NULL_PROBE, Probe
 from repro.record.columnar import ColumnarTrace
 from repro.streams import ops
-from repro.streams.runstats import UNBOUNDED
+from repro.streams.runstats import UNBOUNDED, truncate_bound
 from repro.streams.stream import KEY_BYTES
 
 _VALUE_BYTES = 8
@@ -340,11 +343,19 @@ class Machine:
             return s
         return StreamOperand(np.asarray(s, dtype=np.int64))
 
+    def _operands(self, a, b, bound: int):
+        """Coerce both operands and truncate each of them to ``bound``
+        once; the effective keys feed the recorder and the kernel."""
+        a, b = self._coerce(a), self._coerce(b)
+        return (a, b, truncate_bound(a.keys, bound),
+                truncate_bound(b.keys, bound))
+
     def _record(self, kind: OpKind, a: StreamOperand, b: StreamOperand,
-                bound: int, *, nested: bool = False,
+                a_keys: np.ndarray, b_keys: np.ndarray, *,
                 flop_pairs: int = 0, extra_mem: tuple[float, float] = (0, 0)):
-        """Record one op; its merge-run analysis is deferred to the
-        trace, so count ops answer through the functional kernels."""
+        """Record one op over the effective keys ``a_keys``/``b_keys``;
+        its merge-run analysis is deferred to the trace, so count ops
+        answer through the functional kernels."""
         # Inlined take_pending(): almost every op sees zero pending
         # charges, so skip the call (and the stores) in that case.
         cpu_mem, sc_mem = extra_mem
@@ -356,42 +367,41 @@ class Machine:
             cpu_mem += b.pending_cpu
             sc_mem += b.pending_sc
             b.pending_cpu = b.pending_sc = 0.0
-        self._defer(kind, a.keys, b.keys, bound, burst=self._burst,
-                    nested=nested, cpu_mem=cpu_mem, sc_mem=sc_mem,
-                    flop_pairs=flop_pairs)
+        self._defer(kind, a_keys, b_keys, burst=self._burst, cpu_mem=cpu_mem,
+                    sc_mem=sc_mem, flop_pairs=flop_pairs)
         self.trace.shared_scalar_instrs += OP_SETUP_INSTRS
         if self.record_lengths:
             self._append_length(a.keys.size)
             self._append_length(b.keys.size)
 
     def intersect(self, a, b, bound: int = UNBOUNDED) -> StreamOperand:
-        a, b = self._coerce(a), self._coerce(b)
-        self._record(OpKind.INTERSECT, a, b, bound)
-        return StreamOperand(ops.intersect(a.keys, b.keys, bound))
+        a, b, a_keys, b_keys = self._operands(a, b, bound)
+        self._record(OpKind.INTERSECT, a, b, a_keys, b_keys)
+        return StreamOperand(ops.intersect(a_keys, b_keys))
 
     def intersect_count(self, a, b, bound: int = UNBOUNDED) -> int:
-        a, b = self._coerce(a), self._coerce(b)
-        self._record(OpKind.INTERSECT, a, b, bound)
-        return ops.intersect_count(a.keys, b.keys, bound)
+        a, b, a_keys, b_keys = self._operands(a, b, bound)
+        self._record(OpKind.INTERSECT, a, b, a_keys, b_keys)
+        return ops.intersect_count(a_keys, b_keys)
 
     def subtract(self, a, b, bound: int = UNBOUNDED) -> StreamOperand:
-        a, b = self._coerce(a), self._coerce(b)
-        self._record(OpKind.SUBTRACT, a, b, bound)
-        return StreamOperand(ops.subtract(a.keys, b.keys, bound))
+        a, b, a_keys, b_keys = self._operands(a, b, bound)
+        self._record(OpKind.SUBTRACT, a, b, a_keys, b_keys)
+        return StreamOperand(ops.subtract(a_keys, b_keys))
 
     def subtract_count(self, a, b, bound: int = UNBOUNDED) -> int:
-        a, b = self._coerce(a), self._coerce(b)
-        self._record(OpKind.SUBTRACT, a, b, bound)
-        return ops.subtract_count(a.keys, b.keys, bound)
+        a, b, a_keys, b_keys = self._operands(a, b, bound)
+        self._record(OpKind.SUBTRACT, a, b, a_keys, b_keys)
+        return ops.subtract_count(a_keys, b_keys)
 
     def merge(self, a, b) -> StreamOperand:
         a, b = self._coerce(a), self._coerce(b)
-        self._record(OpKind.MERGE, a, b, UNBOUNDED)
+        self._record(OpKind.MERGE, a, b, a.keys, b.keys)
         return StreamOperand(ops.merge(a.keys, b.keys))
 
     def merge_count(self, a, b) -> int:
         a, b = self._coerce(a), self._coerce(b)
-        self._record(OpKind.MERGE, a, b, UNBOUNDED)
+        self._record(OpKind.MERGE, a, b, a.keys, b.keys)
         return ops.merge_count(a.keys, b.keys)
 
     # -- value ops ------------------------------------------------------------------
@@ -420,12 +430,14 @@ class Machine:
                op: str = "MAC", bound: int = UNBOUNDED) -> float:
         """``S_VINTER``: reduce over value pairs of intersected keys."""
         av, bv = self._require_values(a), self._require_values(b)
-        n_matches = ops.intersect_count(a.keys, b.keys, bound)
+        a, b, a_keys, b_keys = self._operands(a, b, bound)
+        n_matches = ops.intersect_count(a_keys, b_keys)
         ga = self._gather_values(a, n_matches)
         gb = self._gather_values(b, n_matches)
-        self._record(OpKind.VINTER, a, b, bound, flop_pairs=n_matches,
+        self._record(OpKind.VINTER, a, b, a_keys, b_keys,
+                     flop_pairs=n_matches,
                      extra_mem=(ga[0] + gb[0], ga[1] + gb[1]))
-        return ops.vinter(a.keys, av, b.keys, bv, op, bound)
+        return ops.vinter(a_keys, av, b_keys, bv, op)
 
     def vinter_sweep(self, a: StreamOperand, keys: Sequence[np.ndarray],
                      vals: Sequence[np.ndarray],
@@ -505,11 +517,137 @@ class Machine:
         n_out = int(keys.size)
         ga = self._gather_values(a, len(a))
         gb = self._gather_values(b, len(b))
-        self._record(OpKind.VMERGE, a, b, UNBOUNDED, flop_pairs=n_out,
+        self._record(OpKind.VMERGE, a, b, a.keys, b.keys, flop_pairs=n_out,
                      extra_mem=(ga[0] + gb[0], ga[1] + gb[1]))
         return StreamOperand(keys, vals)
 
-    # -- nested intersection (S_NESTINTER) ------------------------------------------
+    # -- GPM levels in bulk ----------------------------------------------------------
+
+    def count_sweep(self, graph, verts: np.ndarray, kinds: Sequence[OpKind],
+                    bounds: np.ndarray | None = None, *,
+                    exclude: np.ndarray | None = None,
+                    label: int | None = None) -> int:
+        """Count a GPM counting level: one candidate set per child ``j``.
+
+        ``verts`` has one row per edge list each child loads, in load
+        order: row ``i`` holds the vertex whose edge list step ``i``
+        (``kinds[i]``) intersects or subtracts, the last row the base
+        vertex.  Child ``j``'s candidates are ``N(verts[-1, j])`` below
+        ``bounds[j]`` (a key, so non-negative; ``None`` bounds no
+        child), combined with each step's ``N(verts[i, j])`` below the
+        bound, then minus row ``j`` of ``exclude`` (on-chip keys, each
+        row sorted) and kept only where ``graph.labels`` equals
+        ``label``.  Returns the total over all children and records
+        exactly what this per-op loop records::
+
+            for j in range(verts.shape[1]):
+                bound = UNBOUNDED if bounds is None else bounds[j]
+                operands = [(kind, self.neighbors(graph, v))
+                            for kind, v in zip(kinds, verts[:-1, j])]
+                if exclude is not None:
+                    operands.append((SUBTRACT, StreamOperand(exclude[j])))
+                cand = self.neighbors(graph, verts[-1, j])
+                if not operands:  # no op: the size is free
+                    cand = StreamOperand(truncate_bound(cand.keys, bound))
+                for kind, operand in operands:
+                    cand = (self.intersect if kind == INTERSECT
+                            else self.subtract)(cand, operand, bound)
+                keys = cand.keys
+                if label is not None:
+                    self.scalar(2 * keys.size)  # one compare per key
+                    if graph.labels is not None:
+                        keys = keys[graph.labels[keys] == label]
+                total += keys.size
+
+        — the same stream loads (at priority 0: a counting level's edge
+        lists are not reused), ops, memory charges (the base's pending
+        charge lands on the first op, and is dropped when there is
+        none), setup instructions and length samples, in the same order.
+        One call records a whole leaf level under one DFS node, as one
+        ``S_NESTINTER`` expands into its sub-ops: each step's edge
+        lists are cut at their bounds by one ``searchsorted`` over
+        ``graph.edge_keys``, and each step tests every candidate with
+        one more (a candidate ``c`` of child ``j`` is in
+        ``N(verts[i, j])`` when that edge exists), so each op pays only
+        its memory-model accesses and its deferred record.
+        """
+        n = verts.shape[1]
+        if not n:
+            return 0
+        indptr, indices = graph.indptr, graph.indices
+        edge_keys, span = graph.edge_keys, graph.num_vertices
+        lo = indptr[verts]
+        hi = indptr[verts + 1]
+        end = hi if bounds is None else edge_keys.searchsorted(
+            verts * span + np.minimum(bounds, span))
+        lo_l, hi_l = lo.tolist(), hi.tolist()
+        views = [[indices[i:j] for i, j in zip(row_lo, row_end)]
+                 for row_lo, row_end in zip(lo_l, end.tolist())]
+        # The candidates of every child, in child order, with the child
+        # each belongs to; op i keeps or drops each of them at once.
+        cand = np.concatenate(views[-1])
+        owner = np.arange(n).repeat(end[-1] - lo[-1])
+        n_steps = len(kinds)
+        records, a_views = [], views[-1]
+        for i in range(n_steps + (exclude is not None)):
+            if i:
+                starts = owner.searchsorted(np.arange(n + 1)).tolist()
+                a_views = [cand[p:q] for p, q in zip(starts, starts[1:])]
+            if i < n_steps:
+                kind, b_views = kinds[i], views[i]
+                probe = verts[i][owner] * span + cand
+                hit = edge_keys.take(edge_keys.searchsorted(probe),
+                                     mode="clip") == probe
+            else:
+                kind, cut = OpKind.SUBTRACT, [exclude.shape[1]] * n
+                if bounds is not None:
+                    cut = np.count_nonzero(exclude < bounds[:, None],
+                                           axis=1).tolist()
+                b_views = [row[:c] for row, c in zip(exclude, cut)]
+                hit = (exclude[owner] == cand[:, None]).any(axis=1)
+            records.append((kind, a_views, b_views))
+            if kind != OpKind.INTERSECT:
+                np.logical_not(hit, out=hit)
+            cand, owner = cand[hit], owner[hit]
+
+        observed = self.obs.enabled
+        load_stream, defer, burst = (self.transfer.load_stream, self._defer,
+                                     self._burst)
+        edges = ("edges", id(graph))
+        loads = list(zip(verts.tolist(), lo_l, hi_l))
+        costs = [None] * len(loads)
+        for j in range(n):
+            for i, (row, row_lo, row_hi) in enumerate(loads):
+                granule = edges + (row[j],)
+                nbytes = (row_hi[j] - row_lo[j]) * KEY_BYTES
+                cost = costs[i] = load_stream(granule, nbytes, 0)
+                if observed:
+                    self._observe_load(granule, nbytes, cost.scratchpad_hit)
+            # As _record() sums them: the base's charge, then the step's.
+            cpu_mem, sc_mem = costs[-1].cpu_cycles, costs[-1].sc_cycles
+            for i, (kind, a_views, b_views) in enumerate(records):
+                if i < n_steps:
+                    cpu_mem += costs[i].cpu_cycles
+                    sc_mem += costs[i].sc_cycles
+                defer(kind, a_views[j], b_views[j], burst=burst,
+                      cpu_mem=cpu_mem, sc_mem=sc_mem)
+                cpu_mem = sc_mem = 0.0
+        self.trace.shared_scalar_instrs += OP_SETUP_INSTRS * n * len(records)
+        if self.record_lengths:
+            # Full operand lengths: whole edge lists, the intermediates
+            # and the matched set.
+            sizes = (hi - lo).tolist()
+            if exclude is not None:
+                sizes.insert(n_steps, [exclude.shape[1]] * n)
+            for j in range(n):
+                for i, (_, a_views, _) in enumerate(records):
+                    self.length_samples += (
+                        a_views[j].size if i else sizes[-1][j], sizes[i][j])
+        if label is not None:
+            self.scalar(2 * int(cand.size))
+            if graph.labels is not None:
+                cand = cand[graph.labels[cand] == label]
+        return int(cand.size)
 
     def nest_intersect(self, s: StreamOperand, graph) -> int:
         """``S_NESTINTER``: sum of |S ∩ N(s_i)| bounded by each s_i.
@@ -517,22 +655,41 @@ class Machine:
         The dependent edge-list streams are generated by the processor
         from the GFRs; the translator's sub-ops all share one burst and
         carry no scalar loop overhead on SparseCore (the CPU runs the
-        explicit loop instead)."""
+        explicit loop instead).  Like the translator, one call expands
+        every sub-op in order: sub-op ``i`` loads ``N(s_i)`` and records
+        ``S`` below ``s_i`` (``S[:i]``, as stream keys strictly
+        increase) against ``N(s_i)`` below ``s_i``, with ``S``'s pending
+        charge on the first.  The total is one ``searchsorted`` of every
+        truncated edge list in ``S``."""
         s = self._coerce(s)
-        total = 0
+        keys = s.keys
         cpu_pend, sc_pend = s.take_pending()
-        defer = self._defer
-        with self.burst():
-            for s_i in s.keys.tolist():
-                nbr = self.neighbors(graph, s_i)
-                cpu_n, sc_n = nbr.take_pending()
-                defer(OpKind.INTERSECT, s.keys, nbr.keys, s_i,
-                      burst=self._burst, nested=True,
-                      cpu_mem=cpu_n + cpu_pend, sc_mem=sc_n + sc_pend)
-                total += ops.intersect_count(s.keys, nbr.keys, s_i)
+        with self.burst() as burst:
+            if not keys.size:
+                return 0
+            lo = graph.indptr[keys]
+            degree = (graph.indptr[keys + 1] - lo).tolist()
+            end = graph.edge_keys.searchsorted(keys * graph.num_vertices
+                                               + keys)
+            below = [graph.indices[i:j]
+                     for i, j in zip(lo.tolist(), end.tolist())]
+            found = np.concatenate(below)
+            total = int(np.count_nonzero(
+                keys.take(keys.searchsorted(found), mode="clip") == found))
+            observed = self.obs.enabled
+            load_stream, defer = self.transfer.load_stream, self._defer
+            edges, kind = ("edges", id(graph)), OpKind.INTERSECT
+            for i, s_i in enumerate(keys.tolist()):
+                granule, nbytes = edges + (s_i,), degree[i] * KEY_BYTES
+                cost = load_stream(granule, nbytes, 0)
+                if observed:
+                    self._observe_load(granule, nbytes, cost.scratchpad_hit)
+                defer(kind, keys[:i], below[i], burst=burst, nested=True,
+                      cpu_mem=cost.cpu_cycles + cpu_pend,
+                      sc_mem=cost.sc_cycles + sc_pend)
                 cpu_pend = sc_pend = 0.0
-                self.trace.add_cpu_scalar(CPU_NESTED_LOOP_INSTRS)
-                if self.record_lengths:
-                    self.length_samples.append(len(s))
-                    self.length_samples.append(len(nbr))
+            self.trace.add_cpu_scalar(CPU_NESTED_LOOP_INSTRS * keys.size)
+            if self.record_lengths:
+                for size in degree:
+                    self.length_samples += (keys.size, size)
         return total

@@ -108,7 +108,7 @@ def truncate_bound(keys: np.ndarray, bound: int) -> np.ndarray:
     """Keep only keys strictly below ``bound`` (no-op when unbounded)."""
     if bound < 0 or keys.size == 0 or keys[-1] < bound:
         return keys
-    return keys[: int(np.searchsorted(keys, bound, side="left"))]
+    return keys[: int(keys.searchsorted(bound))]
 
 
 def analyze_pair(

@@ -19,8 +19,11 @@ a recording bug, not drift.
 ``golden_profile_events.json`` pins the profile *event stream* — count,
 drops and a SHA-256 of every event's name, category, phase, timestamp,
 duration, lane and args — at the default tracer cap and at one that
-drops events, on three profiled workloads and on two small inner-product
+drops events, on six profiled workloads and on two small inner-product
 and TTM kernels run on a probed machine (the ``vinter_sweep`` path).
+The GPM runs cover ``S_NESTINTER`` (``triangle``) and the counting leaf
+levels: a 1-step subtraction (``three-chain``), a 2-step intersection
+(``4clique-flat``) and a 2-step subtraction (``tailed-triangle``).
 It was captured with every op traced as it was recorded: the stream the
 freeze-time replay of a probed ``Machine`` must reproduce.
 """
@@ -172,6 +175,10 @@ def _probed(kernel, a, b):
 
 _EVENT_RUNS = {
     "triangle": _profiled("triangle", scale=0.3),
+    "three-chain": _profiled("three-chain", scale=0.15),
+    "4clique-flat": _profiled("4clique-flat", graph="email_eu_core",
+                              scale=0.05),
+    "tailed-triangle": _profiled("tailed-triangle", scale=0.15),
     "ttv": _profiled("ttv", tensor="Ch"),
     "spmspm-outer": _profiled("spmspm-outer", matrix="laser"),
     "spmspm-inner-probed": _probed(spmspm_inner,
