@@ -10,11 +10,15 @@ Fields differ in who reads them:
   axis may vary.
 * **Recording** (the recording
   :class:`~repro.machine.context.Machine` and its
-  :class:`~repro.arch.transfer.TransferModel`): ``cache``,
-  ``su_buffer_width`` and ``scratchpad_bytes``.  The pipeline records
-  under the defaults, so sweeping these needs re-recording.  (A
-  profiled recording also reads ``flop_cycles_per_pair`` to size its
-  timeline spans; the trace does not depend on it.)
+  :class:`~repro.arch.transfer.TransferModel`): ``su_buffer_width``,
+  read by the trace's op analysis, and ``cache`` and
+  ``scratchpad_bytes``, read when the access log is built and applied
+  each time it prices its rows (at every trace compaction and at
+  freeze), so every op's stored memory charge depends on them.  The
+  pipeline records under the defaults, so sweeping these needs
+  re-recording.  (A profiled recording also reads
+  ``flop_cycles_per_pair`` to size its timeline spans; the trace does
+  not depend on it.)
 * **Executor only** (:class:`~repro.arch.executor.StreamExecutor`):
   ``num_stream_regs`` and ``scache_slot_keys``.
 * **Table 2 only**: ``num_cores``, ``rob_size``, ``load_queue_size``

@@ -70,14 +70,16 @@ class StreamExecutor:
                                   counters=counters)
         self.transfer = TransferModel(self.config, counters)
         self.trace = ColumnarTrace("executor",
-                                   width=self.config.su_buffer_width)
+                                   width=self.config.su_buffer_width,
+                                   log=self.transfer)
         self.regs: dict[str, float] = {}
         self.instructions_executed = 0
-        # Per stream register: live key/value data and pending memory
-        # charges attached to the first op consuming the stream.
+        # Per stream register: live key/value data and the access-log
+        # row of the load whose charge the first op consuming the stream
+        # takes.
         self._keys: dict[int, np.ndarray] = {}
         self._vals: dict[int, np.ndarray | None] = {}
-        self._pending_mem: dict[int, tuple[float, float]] = {}
+        self._pending_mem: dict[int, int] = {}
         # Stream virtualization (Section 4.1): when enabled, defining a
         # stream with every register active spills the least recently
         # used stream to a special memory region instead of stalling.
@@ -125,8 +127,11 @@ class StreamExecutor:
                 f"isa.{instr.opcode.name.lower()}")
 
     def report(self) -> CycleReport:
-        """Cost the recorded trace on the SparseCore model."""
-        return SparseCoreModel(self.config).cost(self.trace)
+        """Cost the recorded trace on the SparseCore model (pricing the
+        whole access log, so a probe has counted every access)."""
+        report = SparseCoreModel(self.config).cost(self.trace)
+        self.transfer.price()
+        return report
 
     # -- helpers --------------------------------------------------------------
 
@@ -180,7 +185,7 @@ class StreamExecutor:
         """Restore a spilled stream into a register (spilling another
         stream if necessary)."""
         saved = self._spilled.pop(sid)
-        cost = self.transfer.load_stream(
+        row = self.transfer.load_stream(
             ("spill", sid),
             (saved["keys"].size if saved["keys"] is not None else 0)
             * KEY_BYTES,
@@ -196,10 +201,12 @@ class StreamExecutor:
         entry.start = True
         entry.produced = True
         sreg = entry.sreg
-        if saved["pending"]:
+        # A load whose charge no op took yet keeps it (row 0 too);
+        # otherwise the swap-in's own load is charged.
+        if saved["pending"] is not None:
             self._pending_mem[sreg] = saved["pending"]
         else:
-            self._pending_mem[sreg] = (cost.cpu_cycles, cost.sc_cycles)
+            self._pending_mem[sreg] = row
         self.swap_ins += 1
         if self.obs.counters.enabled:
             self.obs.counters.inc("smt.swap_ins")
@@ -253,15 +260,15 @@ class StreamExecutor:
             )
         return self.memory.view(sreg.value_addr, sreg.length)
 
-    def _pop_pending_mem(self, *sids: int) -> tuple[float, float]:
-        cpu = sc = 0.0
+    def _pop_pending_mem(self, *sids: int) -> tuple:
+        """Take the pending load rows of ``sids``, in order."""
+        rows = ()
         for sid in sids:
             entry = self._entry(sid)
             pending = self._pending_mem.pop(entry.sreg, None)
-            if pending:
-                cpu += pending[0]
-                sc += pending[1]
-        return cpu, sc
+            if pending is not None:
+                rows += (pending,)
+        return rows
 
     def _define_stream(self, sid: int, keys: np.ndarray,
                        vals: np.ndarray | None = None,
@@ -302,8 +309,8 @@ class StreamExecutor:
         entry.start = True
         entry.produced = True  # memory-backed data is available
         granule = ("key", self.memory.array_id(addr), addr)
-        cost = self.transfer.load_stream(granule, length * KEY_BYTES, prio)
-        self._pending_mem[sreg] = (cost.cpu_cycles, cost.sc_cycles)
+        self._pending_mem[sreg] = self.transfer.load_stream(
+            granule, length * KEY_BYTES, prio)
 
     def _s_vread(self, instr: Instruction) -> None:
         addr = int(self.read(instr.operand("addr")))
@@ -322,8 +329,8 @@ class StreamExecutor:
         entry.start = True
         entry.produced = True
         granule = ("key", self.memory.array_id(addr), addr)
-        cost = self.transfer.load_stream(granule, length * KEY_BYTES, prio)
-        self._pending_mem[sreg] = (cost.cpu_cycles, cost.sc_cycles)
+        self._pending_mem[sreg] = self.transfer.load_stream(
+            granule, length * KEY_BYTES, prio)
 
     def _s_free(self, instr: Instruction) -> None:
         sid = int(self.read(instr.operand("sid")))
@@ -353,9 +360,8 @@ class StreamExecutor:
                  if "bound" in instr.spec.operand_names else ops.UNBOUNDED)
         a = self._stream_keys(sid_a)
         b = self._stream_keys(sid_b)
-        cpu_mem, sc_mem = self._pop_pending_mem(sid_a, sid_b)
-        self.trace.add_op_keys(kind, a, b, bound, cpu_mem=cpu_mem,
-                               sc_mem=sc_mem)
+        self.trace.add_op_keys(kind, a, b, bound,
+                               mem=self._pop_pending_mem(sid_a, sid_b))
         if counting:
             self.write_reg(instr.operand("dst"), int(fn(a, b, bound)))
         else:
@@ -402,21 +408,19 @@ class StreamExecutor:
         b_vals = self._stream_values(sid_b)
         n_matches = ops.intersect_count(a_keys, b_keys)
         result = ops.vinter(a_keys, a_vals, b_keys, b_vals, str(imm))
-        cpu_mem, sc_mem = self._pop_pending_mem(sid_a, sid_b)
-        # Matched values are gathered through the normal hierarchy
-        # (VA_gen -> load queue -> vBuf, Section 4.5).
+        # The op's charge: the pending loads, then the matched values,
+        # gathered through the normal hierarchy (VA_gen -> load queue ->
+        # vBuf, Section 4.5).
+        mem = self._pop_pending_mem(sid_a, sid_b)
         for sid in (sid_a, sid_b):
             entry = self._entry(sid)
             reg = self.sregs[entry.sreg]
             if reg.has_values and n_matches:
                 granule = ("val", self.memory.array_id(reg.value_addr),
                            reg.value_addr)
-                cost = self.transfer.load_values(
-                    granule, n_matches * _VALUE_BYTES)
-                cpu_mem += cost.cpu_cycles
-                sc_mem += cost.sc_cycles
-        self.trace.add_op_keys(OpKind.VINTER, a_keys, b_keys,
-                               cpu_mem=cpu_mem, sc_mem=sc_mem,
+                mem += (self.transfer.load_values(
+                    granule, n_matches * _VALUE_BYTES),)
+        self.trace.add_op_keys(OpKind.VINTER, a_keys, b_keys, mem=mem,
                                flop_pairs=n_matches)
         self.write_reg(instr.operand("dst"), float(result))
 
@@ -432,9 +436,8 @@ class StreamExecutor:
         b_vals = self._stream_values(sid_b)
         out_keys, out_vals = ops.vmerge(scale_a, a_keys, a_vals,
                                         scale_b, b_keys, b_vals)
-        cpu_mem, sc_mem = self._pop_pending_mem(sid_a, sid_b)
         self.trace.add_op_keys(OpKind.VMERGE, a_keys, b_keys,
-                               cpu_mem=cpu_mem, sc_mem=sc_mem,
+                               mem=self._pop_pending_mem(sid_a, sid_b),
                                flop_pairs=int(out_keys.size))
         sreg = self._define_stream(sid_out, out_keys, out_vals,
                                    pred0=sid_a, pred1=sid_b,
@@ -470,7 +473,7 @@ class StreamExecutor:
         indptr_base = self.gfrs.csr_index
         edges_base = self.gfrs.csr_edges
         burst = self.trace.new_burst()
-        cpu_pend, sc_pend = self._pop_pending_mem(sid)
+        pending = self._pop_pending_mem(sid)
         total = 0
         for s_i in s.tolist():
             window = self.memory.view(
@@ -481,14 +484,12 @@ class StreamExecutor:
                     if hi > lo else np.empty(0, dtype=np.int64))
             total += ops.intersect_count(s, nbrs, s_i)
             granule = ("key", self.memory.array_id(edges_base), nbr_addr)
-            cost = self.transfer.load_stream(granule,
-                                             (hi - lo) * KEY_BYTES, 0)
+            row = self.transfer.load_stream(granule, (hi - lo) * KEY_BYTES, 0)
+            # The sub-op's load, then S's pending one.
             self.trace.add_op_keys(
                 OpKind.INTERSECT, s, nbrs, s_i, burst=burst, nested=True,
-                cpu_mem=cost.cpu_cycles + cpu_pend,
-                sc_mem=cost.sc_cycles + sc_pend,
-            )
-            cpu_pend = sc_pend = 0.0
+                mem=(row,) + pending)
+            pending = ()
             # The scalar CPU needs the explicit inner loop the nested
             # instruction eliminates (Section 6.3.2).
             self.trace.add_cpu_scalar(8)

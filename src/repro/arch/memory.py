@@ -7,20 +7,26 @@ model tracks recency at **granule** granularity — one granule per
 structures sized like Table 2's L1/L2/L3.  A granule hit at level X
 charges X's per-line pipelined transfer cost for every cache line the
 stream occupies; granules fall through to DRAM cost when evicted
-everywhere.
+everywhere.  Granule tracking ignores partial-line sharing between
+adjacent edge lists and line conflicts inside a granule, neither of
+which the paper's analysis depends on.
 
-Granule tracking (instead of per-line tracking) keeps the model O(1)
-per stream access, which matters because a single GPM run touches
-millions of edge lists.  It is conservative in both directions: it
-ignores partial-line sharing between adjacent edge lists and line
-conflicts inside a granule, neither of which the paper's analysis
-depends on.
+Two forms answer the same question.  :class:`LruBytes` and
+:class:`CacheHierarchy` take one access at a time; they are the oracle
+the tests replay.  Recording prices its access log with
+:class:`LruLevel` instead: one level at a time over a chunk of the
+log, with exactly :class:`LruBytes`'s semantics.  An access's level
+depends only on earlier accesses, so pricing a log after the fact gives
+the same answer as pricing each access as it happens (Mattson et al.,
+"Evaluation techniques for storage hierarchies", 1970).
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from repro.arch.config import CacheConfig
 from repro.obs.counters import NULL_COUNTERS
@@ -76,6 +82,126 @@ class LruBytes:
     def clear(self) -> None:
         self._entries.clear()
         self._used = 0
+
+
+class LruLevel:
+    """One :class:`LruBytes` level, priced chunk by chunk.
+
+    :meth:`hits` answers, for the next accesses of the level's sequence,
+    what :meth:`LruBytes.access` would answer for each — with its clamp,
+    its resized hits and its zero-byte granules — and carries the state
+    to the next chunk.  The level's *footprint* is the sum over its
+    granules of their largest clamped size.  While the footprint fits
+    the capacity the level has never evicted (the bytes it holds never
+    exceed the footprint), so an access hits exactly when its granule
+    was seen before, and a chunk is answered with a few array
+    operations.  From the first chunk whose footprint no longer fits,
+    the level runs one LRU loop over integer granule ids, starting from
+    what it holds: every granule seen, at its latest size, in order of
+    last use.
+    """
+
+    __slots__ = ("capacity", "_largest", "_latest", "_last", "_clock",
+                 "_footprint", "_lru", "_used")
+
+    def __init__(self, capacity_bytes: int):
+        self.capacity = capacity_bytes
+        #: per granule id: largest and latest clamped size (-1: unseen)
+        #: and the clock of its last access, while the footprint fits
+        self._largest = np.full(0, -1, dtype=np.int64)
+        self._latest = np.zeros(0, dtype=np.int64)
+        self._last = np.zeros(0, dtype=np.int64)
+        self._clock = 0
+        self._footprint = 0
+        #: the LRU (id -> clamped size, oldest first) once it no longer fits
+        self._lru: OrderedDict[int, int] | None = None
+        self._used = 0
+
+    @property
+    def evicts(self) -> bool:
+        """Whether the footprint has outgrown the capacity."""
+        return self._lru is not None
+
+    def hits(self, gids: np.ndarray, nbytes: np.ndarray) -> np.ndarray:
+        """Hit flags of the next accesses, ``gids[i]`` of ``nbytes[i]``."""
+        sizes = np.minimum(nbytes, self.capacity)
+        if self._lru is None:
+            hit = self._repeats(gids, sizes)
+            if hit is not None:
+                return hit
+            self._start_lru()
+        return self._replay(gids.tolist(), sizes.tolist())
+
+    def _repeats(self, gids: np.ndarray, sizes: np.ndarray):
+        """Hits of a chunk that keeps the footprint within the capacity
+        (an access hits iff its granule was seen before), or ``None``,
+        leaving the state untouched, when the chunk outgrows it."""
+        n = gids.size
+        if not n:
+            return np.zeros(0, dtype=bool)
+        top = int(gids.max()) + 1
+        if top > self._largest.size:
+            grow = max(top, 2 * self._largest.size) - self._largest.size
+            self._largest = np.concatenate(
+                (self._largest, np.full(grow, -1, dtype=np.int64)))
+            self._latest = np.concatenate(
+                (self._latest, np.zeros(grow, dtype=np.int64)))
+            self._last = np.concatenate(
+                (self._last, np.zeros(grow, dtype=np.int64)))
+        order = np.argsort(gids, kind="stable")
+        ordered = gids[order]
+        head = np.empty(n, dtype=bool)
+        head[0] = True
+        np.not_equal(ordered[1:], ordered[:-1], out=head[1:])
+        starts = np.flatnonzero(head)
+        ids = ordered[starts]
+        first = order[starts]
+        last = order[np.append(starts[1:], n) - 1]
+        prev = self._largest[ids]
+        base = np.maximum(prev, 0)
+        largest = np.maximum(base, np.maximum.reduceat(sizes[order], starts))
+        footprint = self._footprint + int((largest - base).sum())
+        if footprint > self.capacity:
+            return None
+        hit = np.ones(n, dtype=bool)
+        hit[first[prev < 0]] = False
+        self._largest[ids] = largest
+        self._latest[ids] = sizes[last]
+        self._last[ids] = self._clock + last
+        self._clock += n
+        self._footprint = footprint
+        return hit
+
+    def _start_lru(self) -> None:
+        seen = np.flatnonzero(self._largest >= 0)
+        seen = seen[np.argsort(self._last[seen])]
+        sizes = self._latest[seen]
+        self._lru = OrderedDict(zip(seen.tolist(), sizes.tolist()))
+        self._used = int(sizes.sum())
+        self._largest = self._latest = self._last = None
+
+    def _replay(self, gids: list[int], sizes: list[int]) -> np.ndarray:
+        """:meth:`LruBytes.access` over integer ids, one access at a
+        time (sizes are already clamped, so an eviction always finds an
+        older entry)."""
+        entries, capacity, used = self._lru, self.capacity, self._used
+        get, touch, evict = entries.get, entries.move_to_end, entries.popitem
+        hit = bytearray(len(gids))
+        for i, (gid, size) in enumerate(zip(gids, sizes)):
+            old = get(gid)
+            if old is not None:
+                hit[i] = 1
+                if old == size:
+                    touch(gid)
+                    continue
+                del entries[gid]
+                used -= old
+            used += size
+            while used > capacity:
+                used -= evict(last=False)[1]
+            entries[gid] = size
+        self._used = used
+        return np.frombuffer(hit, dtype=bool)
 
 
 @dataclass

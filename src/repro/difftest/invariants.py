@@ -17,7 +17,14 @@ Functional agreement (the oracle) says every backend computes the same
 * **reuse never hurts** — re-loading the same granule through the
   :class:`~repro.arch.transfer.TransferModel` costs no more than the
   cold load on either machine, and a high-priority granule that fits
-  the scratchpad is free on SparseCore the second time.
+  the scratchpad is free on SparseCore the second time;
+* **pricing agreement** — the access log priced in chunks, level by
+  level, charges every row what replaying it through the per-access
+  :class:`~repro.arch.memory.CacheHierarchy` and
+  :class:`~repro.arch.scratchpad.Scratchpad` charges (both machines'
+  cycles and the scratchpad-hit flag), under Table 2's hierarchy, one
+  whose levels the log outgrows partway and one so small that every
+  level evicts.
 """
 
 from __future__ import annotations
@@ -26,10 +33,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.arch import transfer as arch_transfer
+from repro.arch.config import CacheConfig, SparseCoreConfig
+from repro.arch.memory import CacheHierarchy
 from repro.arch.scache import StreamCache
+from repro.arch.scratchpad import Scratchpad
 from repro.arch.stream_unit import StreamUnit
-from repro.arch.transfer import TransferModel
+from repro.arch.transfer import PRIORITY, STREAM, VALUE, TransferModel
 from repro.difftest.generator import CaseGenerator, Sizes, derive_seed
+from repro.obs.counters import NULL_COUNTERS
 from repro.record.columnar import analyze_segments
 from repro.streams.runstats import UNBOUNDED, analyze_pair, truncate_bound
 
@@ -147,20 +159,108 @@ def check_reuse(case) -> list[InvariantViolation]:
     for i, inp in enumerate(case.inputs):
         nbytes = max(8 * len(inp.keys), 8)
         granule = ("difftest", case.seed, i)
-        cold = transfer.load_stream(granule, nbytes, inp.priority)
-        warm = transfer.load_stream(granule, nbytes, inp.priority)
+        cold = transfer.cost(transfer.load_stream(granule, nbytes,
+                                                  inp.priority))
+        warm = transfer.cost(transfer.load_stream(granule, nbytes,
+                                                  inp.priority))
         if warm.sc_cycles > cold.sc_cycles \
                 or warm.cpu_cycles > cold.cpu_cycles:
             violations.append(InvariantViolation(
                 "reuse.warm_cost", case.seed,
                 f"warm load ({warm.cpu_cycles}, {warm.sc_cycles}) dearer "
                 f"than cold ({cold.cpu_cycles}, {cold.sc_cycles})"))
-        if inp.priority > 0 and nbytes <= transfer.scratchpad.capacity \
+        if inp.priority > 0 and nbytes <= transfer.config.scratchpad_bytes \
                 and warm.sc_cycles != 0.0:
             violations.append(InvariantViolation(
                 "reuse.scratchpad", case.seed,
                 f"priority-{inp.priority} granule of {nbytes} B not "
                 f"scratchpad-resident on re-load"))
+    return violations
+
+
+#: A hierarchy small enough that every level evicts on a case's log.
+TINY_HIERARCHY = SparseCoreConfig(
+    scratchpad_bytes=64,
+    cache=CacheConfig(l1d_bytes=128, l2_bytes=256, l3_bytes=512))
+
+#: One whose levels a case's log outgrows partway through.
+SMALL_HIERARCHY = SparseCoreConfig(
+    scratchpad_bytes=256,
+    cache=CacheConfig(l1d_bytes=512, l2_bytes=1024, l3_bytes=2048))
+
+
+def oracle_costs(rows, config: SparseCoreConfig,
+                 counters=NULL_COUNTERS) -> list[tuple]:
+    """Replay logged ``(granule key, bytes, kind)`` rows one access at a
+    time through the per-access models, counting into ``counters`` as
+    they do; ``(cpu, sc, scratchpad hit)`` per row."""
+    cache = config.cache
+    cpu_h = CacheHierarchy(cache, use_l1=True, counters=counters,
+                           name="mem.cpu")
+    sc_h = CacheHierarchy(cache, use_l1=False, counters=counters,
+                          name="mem.sc")
+    scratchpad = Scratchpad(config.scratchpad_bytes, counters=counters)
+    out = []
+    for key, nbytes, kind in rows:
+        cpu = cpu_h.access(key, nbytes)
+        if kind == VALUE:
+            sc = sc_h.access(key, nbytes) / arch_transfer.VALUE_GATHER_MLP
+            out.append((cpu, sc, False))
+        else:
+            hit = scratchpad.access(key, nbytes, int(kind == PRIORITY))
+            sc = 0.0 if hit else sc_h.access_pipelined(key, nbytes)
+            out.append((cpu, sc, hit))
+        path = "value" if kind == VALUE else "stream"
+        counters.inc(f"transfer.{path}_loads")
+        counters.add(f"transfer.{path}_bytes", nbytes)
+    return out
+
+
+def priced_costs(rows, config: SparseCoreConfig, cuts=()) -> list[tuple]:
+    """Log ``rows`` in a :class:`TransferModel` and price them, a chunk
+    ending before each row index in ``cuts``; ``(cpu, sc, scratchpad
+    hit)`` per row."""
+    log = TransferModel(config)
+    cuts = set(cuts)
+    for i, (key, nbytes, kind) in enumerate(rows):
+        if i in cuts:
+            log.price()
+        if kind == VALUE:
+            log.load_values(key, nbytes)
+        else:
+            log.load_stream(key, nbytes, int(kind == PRIORITY))
+    out = []
+    for row in range(len(rows)):
+        cost = log.cost(row)
+        out.append((cost.cpu_cycles, cost.sc_cycles, cost.scratchpad_hit))
+    return out
+
+
+def check_pricing(case) -> list[InvariantViolation]:
+    """The chunked pricing pass charges each row of a log built from the
+    case what the per-access oracle charges it."""
+    rng = np.random.default_rng(case.seed)
+    rows = []
+    for _ in range(2):  # each granule comes back, often at a new size
+        for inp in case.inputs:
+            kind = VALUE if rng.random() < 0.3 else (
+                PRIORITY if inp.priority > 0 else STREAM)
+            rows.append((("case", int(rng.integers(0, 4))),
+                         8 * int(rng.integers(0, len(inp.keys) + 1)), kind))
+    cuts = np.flatnonzero(rng.random(len(rows)) < 0.3).tolist()
+    violations = []
+    for name, config in (("paper", SparseCoreConfig()),
+                         ("small", SMALL_HIERARCHY),
+                         ("tiny", TINY_HIERARCHY)):
+        want = oracle_costs(rows, config)
+        got = priced_costs(rows, config, cuts)
+        for i, (g, w) in enumerate(zip(got, want)):
+            if g != w:
+                violations.append(InvariantViolation(
+                    "pricing.oracle", case.seed,
+                    f"{name} hierarchy, row {i} {rows[i]}: priced {g}, "
+                    f"oracle {w}"))
+                break
     return violations
 
 
@@ -174,13 +274,18 @@ def run_invariants(root_seed: int, n_cases: int,
         violations.extend(check_stream_case(case))
         violations.extend(check_scache(case))
         violations.extend(check_reuse(case))
+        violations.extend(check_pricing(case))
     return violations
 
 
 __all__ = [
     "InvariantViolation",
+    "TINY_HIERARCHY",
+    "check_pricing",
     "check_reuse",
     "check_scache",
     "check_stream_case",
+    "oracle_costs",
+    "priced_costs",
     "run_invariants",
 ]

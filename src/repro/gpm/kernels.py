@@ -115,8 +115,7 @@ class _PlanRunner:
             keys = base.keys
             if bound != UNBOUNDED:
                 keys = keys[: int(keys.searchsorted(bound))]
-            cand = StreamOperand(keys, pending_cpu=base.pending_cpu,
-                                 pending_sc=base.pending_sc)
+            cand = StreamOperand(keys, pending=base.pending)
         else:
             cand = base
             for kind, operand in steps:
@@ -169,9 +168,7 @@ class _PlanRunner:
         if keys.size == 0 or self.graph.labels is None:
             return operand
         mask = self.graph.labels[keys] == label
-        return StreamOperand(keys[mask],
-                             pending_cpu=operand.pending_cpu,
-                             pending_sc=operand.pending_sc)
+        return StreamOperand(keys[mask], pending=operand.pending)
 
     # -- recursion -----------------------------------------------------------------
 

@@ -8,6 +8,6 @@ baselines in :mod:`repro.accel` — can price afterwards.  One kernel
 run therefore feeds every comparison in the paper's figures.
 """
 
-from repro.machine.context import Machine, StreamOperand, AppRun
+from repro.machine.context import Machine, StreamOperand, StreamSweep, AppRun
 
-__all__ = ["Machine", "StreamOperand", "AppRun"]
+__all__ = ["Machine", "StreamOperand", "StreamSweep", "AppRun"]

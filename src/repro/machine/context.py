@@ -5,17 +5,22 @@
 ``intersect``/``subtract``/``merge`` (and ``*_count``) for the compute
 instructions, ``vinter``/``vmerge`` for the value instructions, and
 ``nest_intersect`` for ``S_NESTINTER``.  Each call returns the
-functional result and appends one record to the trace; stream loads
-charge the paired CPU/SparseCore memory models at the moment the data
-would move.  Three calls record many ops at once, exactly as the
-per-op calls would: ``vinter_sweep`` a whole row of ``S_VREAD`` +
-``S_VINTER`` pairs, ``count_sweep`` a whole GPM counting level under
-one DFS node, and ``nest_intersect`` every sub-op of one
-``S_NESTINTER``.
+functional result and appends one record to the trace.  Each stream
+load and value gather, at the moment the data would move, appends one
+row to the machine's access log (a
+:class:`~repro.arch.transfer.TransferModel`), and each op names the
+rows it is charged for: its value gathers, then the pending loads of
+``a`` and ``b``, in the order its charge sums them.  The trace has the
+log price its rows when it analyses its ops.  Three calls record many
+ops at once, exactly as the per-op calls would: ``vinter_sweep`` a
+whole row of ``S_VREAD`` + ``S_VINTER`` pairs, ``count_sweep`` a whole
+GPM counting level under one DFS node, and ``nest_intersect`` every
+sub-op of one ``S_NESTINTER``; each appends its log rows as arrays.
 Every op is recorded through
 :meth:`~repro.record.columnar.ColumnarTrace.add_op_keys`, probed or
 not; :meth:`Machine.freeze` freezes the trace and, under a probe,
-derives the op counters and the event timeline from the frozen columns.
+derives the op counters and the event timeline from the frozen columns
+and the memory counters from the priced log.
 
 Kernels annotate structure the hardware exploits:
 
@@ -37,7 +42,7 @@ import numpy as np
 
 from repro.arch.config import SparseCoreConfig
 from repro.arch.trace import NO_BURST, FrozenTrace, OpKind
-from repro.arch.transfer import TransferModel
+from repro.arch.transfer import PRIORITY, STREAM, VALUE, TransferModel
 from repro.errors import StreamTypeFault
 from repro.obs.probe import NULL_PROBE, Probe
 from repro.record.columnar import ColumnarTrace
@@ -68,9 +73,9 @@ class StreamOperand:
     values: np.ndarray | None = None
     #: reuse-model identity of the value data (None for intermediates)
     vgranule: tuple | None = None
-    #: pending memory-stall charges attached to the first consuming op
-    pending_cpu: float = 0.0
-    pending_sc: float = 0.0
+    #: access-log row of the load whose charge the first consuming op
+    #: takes (None: nothing pending)
+    pending: int | None = None
 
     def __len__(self) -> int:
         return int(self.keys.size)
@@ -79,10 +84,38 @@ class StreamOperand:
     def has_values(self) -> bool:
         return self.values is not None
 
-    def take_pending(self) -> tuple[float, float]:
-        cpu, sc = self.pending_cpu, self.pending_sc
-        self.pending_cpu = self.pending_sc = 0.0
-        return cpu, sc
+    def take_pending(self) -> int | None:
+        row, self.pending = self.pending, None
+        return row
+
+
+class StreamSweep:
+    """The (key,value) streams a kernel sweeps row after row with
+    :meth:`Machine.vinter_sweep`, prepared once per kernel call by
+    :meth:`Machine.sweep_streams`: their arrays concatenated for
+    :func:`~repro.streams.ops.vinter_mac_sweep`, and what the access log
+    appends for each stream — its granule's ids (-1 for none), key
+    bytes and row kind."""
+
+    __slots__ = ("log", "keys", "vals", "granules", "priority", "batch",
+                 "gids", "vgids", "nbytes", "kind")
+
+    def __init__(self, log: TransferModel, keys: Sequence[np.ndarray],
+                 vals: Sequence[np.ndarray],
+                 granules: Sequence[tuple | None], priority: int = 0):
+        self.log = log
+        self.keys, self.vals = list(keys), list(vals)
+        self.granules, self.priority = list(granules), priority
+        self.batch = ops.StreamBatch(self.keys, self.vals)
+        ids = [(log.granule_id(g), log.granule_id(("vals",) + g))
+               if g is not None else (-1, -1) for g in self.granules]
+        self.gids, self.vgids = np.array(ids, dtype=np.int64).reshape(
+            -1, 2).T
+        self.nbytes = self.batch.sizes * KEY_BYTES
+        self.kind = PRIORITY if priority > 0 else STREAM
+
+    def __len__(self) -> int:
+        return len(self.keys)
 
 
 @dataclass
@@ -127,8 +160,9 @@ class Machine:
                  probe: Probe | None = None):
         self.config = config or SparseCoreConfig()
         self.obs = probe or NULL_PROBE
-        self.trace = ColumnarTrace(name, width=self.config.su_buffer_width)
         self.transfer = TransferModel(self.config, self.obs.counters)
+        self.trace = ColumnarTrace(name, width=self.config.su_buffer_width,
+                                   log=self.transfer)
         self._burst = NO_BURST
         self.record_lengths = record_lengths
         #: operand-length samples for the Figure 14 CDFs
@@ -161,11 +195,10 @@ class Machine:
         operand = StreamOperand(keys)
         if granule is not None:
             nbytes = keys.size * KEY_BYTES
-            cost = self.transfer.load_stream(granule, nbytes, priority)
-            operand.pending_cpu = cost.cpu_cycles
-            operand.pending_sc = cost.sc_cycles
+            row = operand.pending = self.transfer.load_stream(
+                granule, nbytes, priority)
             if self.obs.enabled:
-                self._observe_load(granule, nbytes, cost.scratchpad_hit)
+                self._observe_load(granule, nbytes, row)
         return operand
 
     def load_values(self, keys: np.ndarray, values: np.ndarray,
@@ -191,13 +224,16 @@ class Machine:
         Used when generated code revisits a previously produced stream
         after touching many others in between (e.g. the outer-product
         dataflow cycling through all of C's row accumulators per k);
-        the LRU decides whether the data actually left the hierarchy."""
+        the LRU decides whether the data actually left the hierarchy.
+        The reload's charge lands on the next op that consumes
+        ``operand``, which must not hold a pending charge already."""
+        if operand.pending is not None:
+            raise ValueError("reload of a stream whose pending load charge "
+                             "no op has taken yet")
         nbytes = operand.keys.size * KEY_BYTES
         if operand.values is not None:
             nbytes += operand.values.size * _VALUE_BYTES
-        cost = self.transfer.load_stream(granule, nbytes, priority)
-        operand.pending_cpu += cost.cpu_cycles
-        operand.pending_sc += cost.sc_cycles
+        operand.pending = self.transfer.load_stream(granule, nbytes, priority)
         return operand
 
     # -- bursts ----------------------------------------------------------------
@@ -236,9 +272,9 @@ class Machine:
 
     # -- observability -----------------------------------------------------------
 
-    def _observe_load(self, granule: tuple, nbytes: int,
-                      scratchpad_hit: bool) -> None:
-        """Count one stream load and queue its fetch instant."""
+    def _observe_load(self, granule: tuple, nbytes: int, row: int) -> None:
+        """Count one stream load and queue its fetch instant (its
+        scratchpad-hit flag is read from the priced log when emitted)."""
         counters = self.obs.counters
         if counters.enabled:
             counters.inc("machine.stream_loads")
@@ -246,10 +282,11 @@ class Machine:
         if self.obs.tracer.enabled:
             at = self.trace.num_ops
 
-            def emit(clocks, instant=self.obs.tracer.instant):
+            def emit(clocks, instant=self.obs.tracer.instant,
+                     hit=self.transfer.scratchpad_hit):
                 instant("fetch " + granule[0], "fetch", clocks[at], tid=1,
                         granule=repr(granule), bytes=nbytes,
-                        scratchpad_hit=scratchpad_hit)
+                        scratchpad_hit=hit(row))
             self._marks.append((at, emit))
 
     def freeze(self) -> FrozenTrace:
@@ -259,10 +296,12 @@ class Machine:
         previous ``freeze``: the op counters are sums over the frozen
         columns, and the timeline is replayed from them, so the tracer
         sees the same events, timestamps and drops as if each op had
-        been traced when it was recorded.
+        been traced when it was recorded.  Pricing the whole log counts
+        its memory accesses.
         """
         trace = self.trace.freeze()
         if self.obs.enabled:
+            self.transfer.price()
             self._observe(trace)
         return trace
 
@@ -352,23 +391,22 @@ class Machine:
 
     def _record(self, kind: OpKind, a: StreamOperand, b: StreamOperand,
                 a_keys: np.ndarray, b_keys: np.ndarray, *,
-                flop_pairs: int = 0, extra_mem: tuple[float, float] = (0, 0)):
+                flop_pairs: int = 0, mem: tuple = ()):
         """Record one op over the effective keys ``a_keys``/``b_keys``;
         its merge-run analysis is deferred to the trace, so count ops
-        answer through the functional kernels."""
-        # Inlined take_pending(): almost every op sees zero pending
-        # charges, so skip the call (and the stores) in that case.
-        cpu_mem, sc_mem = extra_mem
-        if a.pending_cpu or a.pending_sc:
-            cpu_mem += a.pending_cpu
-            sc_mem += a.pending_sc
-            a.pending_cpu = a.pending_sc = 0.0
-        if b.pending_cpu or b.pending_sc:
-            cpu_mem += b.pending_cpu
-            sc_mem += b.pending_sc
-            b.pending_cpu = b.pending_sc = 0.0
-        self._defer(kind, a_keys, b_keys, burst=self._burst, cpu_mem=cpu_mem,
-                    sc_mem=sc_mem, flop_pairs=flop_pairs)
+        answer through the functional kernels.  The op is charged for
+        ``mem`` (its value gathers), then ``a``'s and ``b``'s pending
+        loads, summed in that order."""
+        row = a.pending
+        if row is not None:
+            mem += (row,)
+            a.pending = None
+        row = b.pending
+        if row is not None:
+            mem += (row,)
+            b.pending = None
+        self._defer(kind, a_keys, b_keys, burst=self._burst, mem=mem,
+                    flop_pairs=flop_pairs)
         self.trace.shared_scalar_instrs += OP_SETUP_INSTRS
         if self.record_lengths:
             self._append_length(a.keys.size)
@@ -413,18 +451,22 @@ class Machine:
             )
         return s.values
 
-    def _gather_values(self, operand: StreamOperand,
-                       n_elems: int) -> tuple[float, float]:
-        """Charge a value gather of ``n_elems`` floats for one operand.
+    def _gather_values(self, a: StreamOperand, n_a: int, b: StreamOperand,
+                       n_b: int) -> tuple:
+        """Log the value gathers of ``n_a`` floats of ``a`` and ``n_b``
+        of ``b``; returns their rows.
 
         Only memory-backed value streams (``S_VREAD``) are charged:
         produced intermediates live on-chip (vBuf / S-Cache) until the
         generated code explicitly spills them (:meth:`reload`)."""
-        if n_elems <= 0 or operand.vgranule is None:
-            return 0.0, 0.0
-        cost = self.transfer.load_values(operand.vgranule,
-                                         n_elems * _VALUE_BYTES)
-        return cost.cpu_cycles, cost.sc_cycles
+        rows = ()
+        if n_a > 0 and a.vgranule is not None:
+            rows = (self.transfer.load_values(a.vgranule,
+                                              n_a * _VALUE_BYTES),)
+        if n_b > 0 and b.vgranule is not None:
+            rows += (self.transfer.load_values(b.vgranule,
+                                               n_b * _VALUE_BYTES),)
+        return rows
 
     def vinter(self, a: StreamOperand, b: StreamOperand,
                op: str = "MAC", bound: int = UNBOUNDED) -> float:
@@ -432,77 +474,94 @@ class Machine:
         av, bv = self._require_values(a), self._require_values(b)
         a, b, a_keys, b_keys = self._operands(a, b, bound)
         n_matches = ops.intersect_count(a_keys, b_keys)
-        ga = self._gather_values(a, n_matches)
-        gb = self._gather_values(b, n_matches)
         self._record(OpKind.VINTER, a, b, a_keys, b_keys,
                      flop_pairs=n_matches,
-                     extra_mem=(ga[0] + gb[0], ga[1] + gb[1]))
+                     mem=self._gather_values(a, n_matches, b, n_matches))
         return ops.vinter(a_keys, av, b_keys, bv, op)
 
-    def vinter_sweep(self, a: StreamOperand, keys: Sequence[np.ndarray],
-                     vals: Sequence[np.ndarray],
-                     granules: Sequence[tuple | None],
-                     priority: int = 0) -> np.ndarray:
-        """``S_VINTER`` MAC of ``a`` against a sweep of (key,value) streams.
+    def sweep_streams(self, keys: Sequence[np.ndarray],
+                      vals: Sequence[np.ndarray],
+                      granules: Sequence[tuple | None],
+                      priority: int = 0) -> StreamSweep:
+        """Prepare (key,value) streams for :meth:`vinter_sweep`: stream
+        ``j`` is ``keys[j]``/``vals[j]`` of granule ``granules[j]``
+        (None: on-chip data), loaded at ``priority``.  A kernel that
+        sweeps the same streams row after row prepares them once."""
+        return StreamSweep(self.transfer, keys, vals, granules, priority)
+
+    def vinter_sweep(self, a: StreamOperand, sweep: StreamSweep) -> np.ndarray:
+        """``S_VINTER`` MAC of ``a`` against every stream of ``sweep``.
 
         Records exactly what this loop records, in the same order::
 
-            for j in range(len(keys)):
-                b = self.load_values(keys[j], vals[j], granules[j], priority)
+            for j in range(len(sweep)):
+                b = self.load_values(sweep.keys[j], sweep.vals[j],
+                                     sweep.granules[j], sweep.priority)
                 out[j] = self.vinter(a, b, "MAC")
 
-        — the same ops, stream loads, value gathers and per-op memory
-        charges (``a``'s pending charge lands on the first op) — and
-        returns ``out`` bit for bit.  One call records a kernel's whole
-        row sweep, much as an indirection stream walks a whole index
-        array from one configuration: the values come from one batched
-        kernel (:func:`repro.streams.ops.vinter_mac_sweep`), and each op
-        pays only its memory-model accesses and its deferred record.
+        — the same ops, access-log rows (each stream's load, then, when
+        the pair matches, the gathers of ``a``'s and its values) and
+        per-op charges (``a``'s pending charge lands on the first op) —
+        and returns ``out`` bit for bit.  One call records a kernel's
+        whole row sweep, much as an indirection stream walks a whole
+        index array from one configuration: the values come from one
+        batched kernel (:func:`repro.streams.ops.vinter_mac_sweep`), the
+        log rows are appended as arrays, and each op pays only its
+        deferred record.
         """
         av = self._require_values(a)
-        counts, values = ops.vinter_mac_sweep(a.keys, av, keys, vals)
+        if sweep.log is not self.transfer:
+            raise ValueError("the sweep was prepared by another machine")
+        counts, values = ops.vinter_mac_sweep(a.keys, av, sweep.batch)
+        if not len(sweep):
+            return values
+        # Pair j's rows: its load (if it has a granule), then, if it
+        # matches, the gathers of a's values and of its own.
+        loaded = sweep.gids >= 0
+        gather_a = (counts > 0) & (a.vgranule is not None)
+        gather_b = (counts > 0) & loaded
+        width = loaded + gather_a.astype(np.int64) + gather_b
+        at = np.cumsum(width) - width
+        at_a = at + loaded
+        gids = np.empty(int(width.sum()), dtype=np.int64)
+        nbytes = np.empty_like(gids)
+        kinds = np.full(gids.size, VALUE, dtype=np.uint8)
+        gids[at[loaded]] = sweep.gids[loaded]
+        nbytes[at[loaded]] = sweep.nbytes[loaded]
+        kinds[at[loaded]] = sweep.kind
+        if gather_a.any():
+            gids[at_a[gather_a]] = self.transfer.granule_id(a.vgranule)
+        gids[(at_a + gather_a)[gather_b]] = sweep.vgids[gather_b]
+        gathered = counts * _VALUE_BYTES
+        nbytes[at_a[gather_a]] = gathered[gather_a]
+        nbytes[(at_a + gather_a)[gather_b]] = gathered[gather_b]
+        first = self.transfer.append(gids, nbytes, kinds)
         observed = self.obs.enabled
-        load_stream = self.transfer.load_stream
-        load_values = self.transfer.load_values
         defer, burst, kind = self._defer, self._burst, OpKind.VINTER
-        a_keys, a_vgranule = a.keys, a.vgranule
-        a_cpu, a_sc = a.pending_cpu, a.pending_sc
-        if len(keys):
-            a.pending_cpu = a.pending_sc = 0.0
-        for b_keys, granule, n_matches in zip(keys, granules,
-                                              counts.tolist()):
-            # Mirrors load() then vinter()/_record(): the charge sums
-            # are formed in the same order, so they are bit-identical.
-            b_cpu = b_sc = cpu_mem = sc_mem = 0.0
-            if granule is not None:
-                nbytes = b_keys.size * KEY_BYTES
-                cost = load_stream(granule, nbytes, priority)
-                b_cpu, b_sc = cost.cpu_cycles, cost.sc_cycles
-                if observed:
-                    self._observe_load(granule, nbytes, cost.scratchpad_hit)
+        a_keys, pending = a.keys, a.take_pending()
+        for j, (b_keys, n_matches, load, row, ga, gb) in enumerate(zip(
+                sweep.keys, counts.tolist(), loaded.tolist(),
+                (first + at).tolist(), gather_a.tolist(),
+                gather_b.tolist())):
+            # As _record() sums them: the gathers, a's pending load, the
+            # pair's own load.
+            mem = ()
             if n_matches:
-                nbytes = n_matches * _VALUE_BYTES
-                ga_cpu = ga_sc = gb_cpu = gb_sc = 0.0
-                if a_vgranule is not None:
-                    cost = load_values(a_vgranule, nbytes)
-                    ga_cpu, ga_sc = cost.cpu_cycles, cost.sc_cycles
-                if granule is not None:
-                    cost = load_values(("vals",) + granule, nbytes)
-                    gb_cpu, gb_sc = cost.cpu_cycles, cost.sc_cycles
-                cpu_mem, sc_mem = ga_cpu + gb_cpu, ga_sc + gb_sc
-            if a_cpu or a_sc:
-                cpu_mem += a_cpu
-                sc_mem += a_sc
-                a_cpu = a_sc = 0.0
-            if b_cpu or b_sc:
-                cpu_mem += b_cpu
-                sc_mem += b_sc
-            defer(kind, a_keys, b_keys, UNBOUNDED, burst=burst,
-                  cpu_mem=cpu_mem, sc_mem=sc_mem, flop_pairs=n_matches)
-        self.trace.shared_scalar_instrs += OP_SETUP_INSTRS * len(keys)
+                mem = (row + load,) * ga + (row + load + ga,) * gb
+            if pending is not None:
+                mem += (pending,)
+                pending = None
+            if load:
+                mem += (row,)
+                if observed:
+                    self._observe_load(sweep.granules[j],
+                                       b_keys.size * KEY_BYTES, row)
+            defer(kind, a_keys, b_keys, UNBOUNDED, burst=burst, mem=mem,
+                  flop_pairs=n_matches)
+        self.trace.shared_scalar_instrs += OP_SETUP_INSTRS * len(sweep)
         if self.record_lengths:
             a_size = a_keys.size
-            for b_keys in keys:
+            for b_keys in sweep.keys:
                 self._append_length(a_size)
                 self._append_length(b_keys.size)
         return values
@@ -514,11 +573,9 @@ class Machine:
         # The functional kernel is stateless, so computing the result
         # first (for its length) charges nothing out of order.
         keys, vals = ops.vmerge(alpha, a.keys, av, beta, b.keys, bv)
-        n_out = int(keys.size)
-        ga = self._gather_values(a, len(a))
-        gb = self._gather_values(b, len(b))
-        self._record(OpKind.VMERGE, a, b, a.keys, b.keys, flop_pairs=n_out,
-                     extra_mem=(ga[0] + gb[0], ga[1] + gb[1]))
+        self._record(OpKind.VMERGE, a, b, a.keys, b.keys,
+                     flop_pairs=int(keys.size),
+                     mem=self._gather_values(a, len(a), b, len(b)))
         return StreamOperand(keys, vals)
 
     # -- GPM levels in bulk ----------------------------------------------------------
@@ -568,8 +625,9 @@ class Machine:
         lists are cut at their bounds by one ``searchsorted`` over
         ``graph.edge_keys``, and each step tests every candidate with
         one more (a candidate ``c`` of child ``j`` is in
-        ``N(verts[i, j])`` when that edge exists), so each op pays only
-        its memory-model accesses and its deferred record.
+        ``N(verts[i, j])`` when that edge exists); the loads are
+        appended to the access log as arrays, so each op pays only its
+        deferred record.
         """
         n = verts.shape[1]
         if not n:
@@ -611,27 +669,28 @@ class Machine:
             cand, owner = cand[hit], owner[hit]
 
         observed = self.obs.enabled
-        load_stream, defer, burst = (self.transfer.load_stream, self._defer,
-                                     self._burst)
+        defer, burst = self._defer, self._burst
         edges = ("edges", id(graph))
+        # Child j loads its rows' edge lists in row order.
+        n_rows = verts.shape[0]
+        first = self.transfer.append(
+            self.transfer.granule_ids(edges, verts.T.ravel()),
+            ((hi - lo) * KEY_BYTES).T.ravel(), STREAM)
         loads = list(zip(verts.tolist(), lo_l, hi_l))
-        costs = [None] * len(loads)
         for j in range(n):
-            for i, (row, row_lo, row_hi) in enumerate(loads):
-                granule = edges + (row[j],)
-                nbytes = (row_hi[j] - row_lo[j]) * KEY_BYTES
-                cost = costs[i] = load_stream(granule, nbytes, 0)
-                if observed:
-                    self._observe_load(granule, nbytes, cost.scratchpad_hit)
+            rows = range(first + j * n_rows, first + (j + 1) * n_rows)
+            if observed:
+                for row, (v, row_lo, row_hi) in zip(rows, loads):
+                    self._observe_load(edges + (v[j],),
+                                       (row_hi[j] - row_lo[j]) * KEY_BYTES,
+                                       row)
             # As _record() sums them: the base's charge, then the step's.
-            cpu_mem, sc_mem = costs[-1].cpu_cycles, costs[-1].sc_cycles
+            mem = (rows[-1],)
             for i, (kind, a_views, b_views) in enumerate(records):
                 if i < n_steps:
-                    cpu_mem += costs[i].cpu_cycles
-                    sc_mem += costs[i].sc_cycles
-                defer(kind, a_views[j], b_views[j], burst=burst,
-                      cpu_mem=cpu_mem, sc_mem=sc_mem)
-                cpu_mem = sc_mem = 0.0
+                    mem += (rows[i],)
+                defer(kind, a_views[j], b_views[j], burst=burst, mem=mem)
+                mem = ()
         self.trace.shared_scalar_instrs += OP_SETUP_INSTRS * n * len(records)
         if self.record_lengths:
             # Full operand lengths: whole edge lists, the intermediates
@@ -663,12 +722,12 @@ class Machine:
         truncated edge list in ``S``."""
         s = self._coerce(s)
         keys = s.keys
-        cpu_pend, sc_pend = s.take_pending()
+        pending = s.take_pending()
         with self.burst() as burst:
             if not keys.size:
                 return 0
             lo = graph.indptr[keys]
-            degree = (graph.indptr[keys + 1] - lo).tolist()
+            degree = graph.indptr[keys + 1] - lo
             end = graph.edge_keys.searchsorted(keys * graph.num_vertices
                                                + keys)
             below = [graph.indices[i:j]
@@ -677,17 +736,21 @@ class Machine:
             total = int(np.count_nonzero(
                 keys.take(keys.searchsorted(found), mode="clip") == found))
             observed = self.obs.enabled
-            load_stream, defer = self.transfer.load_stream, self._defer
+            defer = self._defer
             edges, kind = ("edges", id(graph)), OpKind.INTERSECT
+            first = self.transfer.append(
+                self.transfer.granule_ids(edges, keys), degree * KEY_BYTES,
+                STREAM)
+            degree = degree.tolist()
             for i, s_i in enumerate(keys.tolist()):
-                granule, nbytes = edges + (s_i,), degree[i] * KEY_BYTES
-                cost = load_stream(granule, nbytes, 0)
+                row = first + i
                 if observed:
-                    self._observe_load(granule, nbytes, cost.scratchpad_hit)
+                    self._observe_load(edges + (s_i,), degree[i] * KEY_BYTES,
+                                       row)
+                # The load's charge, then S's pending one.
                 defer(kind, keys[:i], below[i], burst=burst, nested=True,
-                      cpu_mem=cost.cpu_cycles + cpu_pend,
-                      sc_mem=cost.sc_cycles + sc_pend)
-                cpu_pend = sc_pend = 0.0
+                      mem=(row,) if pending is None else (row, pending))
+                pending = None
             self.trace.add_cpu_scalar(CPU_NESTED_LOOP_INSTRS * keys.size)
             if self.record_lengths:
                 for size in degree:

@@ -9,10 +9,14 @@ as the row-tuple :class:`~repro.arch.trace.Trace` reference takes it)
 would pay per-op interpreter work that dominates cold recording.
 :class:`ColumnarTrace` decouples traversal from analysis instead:
 recording an op only stores references to its (bound-truncated) key
-arrays plus the scalar operands (kind, burst id, memory charges), and
-the merge-run statistics of *all* pending operations are computed in
-one vectorised pass at :meth:`ColumnarTrace.freeze` time (or earlier,
-when :data:`COMPACT_ELEMS` bounds held memory).
+arrays plus the scalar operands (kind, burst id, the access-log rows it
+is charged for), and the merge-run statistics of *all* pending
+operations are computed in one vectorised pass at
+:meth:`ColumnarTrace.freeze` time (or earlier, when
+:data:`COMPACT_ELEMS` bounds held memory).  The same pass asks the
+trace's access log (:class:`~repro.arch.transfer.TransferModel`) to
+price the rows logged so far and sum each op's charge, then drops the
+ops' row indices.
 
 The batch analyser :func:`analyze_segments` concatenates every
 operand pair into two flat key arrays, offsetting each operation's keys
@@ -158,12 +162,15 @@ class ColumnarTrace:
     __slots__ = ("name", "shared_scalar_instrs", "cpu_only_scalar_instrs",
                  "sc_only_scalar_instrs", "_next_burst", "_frozen",
                  "_width", "_compact_elems", "_pending", "_append_pending",
-                 "_pending_elems", "_segments", "_n_ops")
+                 "_pending_elems", "_segments", "_n_ops", "_log")
 
     def __init__(self, name: str = "trace", *,
                  width: int = SU_BUFFER_WIDTH,
-                 compact_elems: int = COMPACT_ELEMS):
+                 compact_elems: int = COMPACT_ELEMS, log=None):
         self.name = name
+        #: the access log the ops' memory charges come from (a
+        #: :class:`~repro.arch.transfer.TransferModel`; None: no charges)
+        self._log = log
         self.shared_scalar_instrs = 0
         self.cpu_only_scalar_instrs = 0
         self.sc_only_scalar_instrs = 0
@@ -171,8 +178,8 @@ class ColumnarTrace:
         self._frozen: FrozenTrace | None = None
         self._width = width
         self._compact_elems = compact_elems
-        #: deferred ops: (kind, a_eff, b_eff, burst, nested, cpu_mem,
-        #: sc_mem, flop_pairs)
+        #: deferred ops: (kind, a_eff, b_eff, burst, nested, mem,
+        #: flop_pairs)
         self._pending: list[tuple] = []
         self._append_pending = self._pending.append
         self._pending_elems = 0
@@ -191,15 +198,15 @@ class ColumnarTrace:
     def add_op_keys(self, kind: OpKind, a_keys: np.ndarray,
                     b_keys: np.ndarray, bound: int = UNBOUNDED, *,
                     burst: int = NO_BURST, nested: bool = False,
-                    cpu_mem: float = 0.0, sc_mem: float = 0.0,
-                    flop_pairs: int = 0) -> None:
+                    mem: tuple = (), flop_pairs: int = 0) -> None:
         """Record one stream op by reference; analysis happens in bulk.
 
         The bound truncation is applied *now* (it is cheap and lets the
         batch analyser treat every operand as effective keys); operand
         arrays are held by reference until the next compaction, per the
         stream contract that key arrays are never mutated in place while
-        a trace is open.
+        a trace is open.  ``mem`` holds the access-log rows the op is
+        charged for, in the order its charge sums them.
         """
         self._frozen = None
         if bound >= 0:
@@ -207,8 +214,8 @@ class ColumnarTrace:
             b_eff = truncate_bound(b_keys, bound)
         else:
             a_eff, b_eff = a_keys, b_keys
-        self._append_pending((int(kind), a_eff, b_eff, burst, nested,
-                              cpu_mem, sc_mem, flop_pairs))
+        self._append_pending((int(kind), a_eff, b_eff, burst, nested, mem,
+                              flop_pairs))
         self._n_ops += 1
         self._pending_elems += a_eff.size + b_eff.size
         if self._pending_elems >= self._compact_elems:
@@ -233,13 +240,16 @@ class ColumnarTrace:
         pend = self._pending
         if not pend:
             return
-        (kind_l, a_l, b_l, burst_l, nested_l, cpu_l, sc_l,
-         flop_l) = zip(*pend)
+        kind_l, a_l, b_l, burst_l, nested_l, mem_l, flop_l = zip(*pend)
         kind = np.array(kind_l, dtype=np.int8)
         burst = np.array(burst_l, dtype=np.int64)
         nested = np.array(nested_l, dtype=bool)
-        cpu_mem = np.array(cpu_l, dtype=np.float64)
-        sc_mem = np.array(sc_l, dtype=np.float64)
+        if self._log is None:
+            if any(mem_l):
+                raise ValueError("memory charges need an access log")
+            cpu_mem, sc_mem = np.zeros(len(pend)), np.zeros(len(pend))
+        else:
+            cpu_mem, sc_mem = self._log.charges(mem_l)
         flop_pairs = np.array(flop_l, dtype=np.int64)
         eff_a, eff_b, n_union, n_matches, n_runs, su_int, su_sub = \
             analyze_segments(a_l, b_l, self._width)
@@ -268,11 +278,23 @@ class ColumnarTrace:
         """Snapshot into numpy arrays for the cost models (cached)."""
         if self._frozen is None:
             self._compact()
+            if self._log is not None:
+                self._log.price()
             segs = self._segments
             if len(segs) == 1:
                 cols = segs[0]
             elif segs:
-                cols = [np.concatenate(col) for col in zip(*segs)]
+                # Column by column, dropping each batch's column once it
+                # is copied: freezing holds one copy of the ops plus one
+                # column, and the frozen columns become the one batch.
+                batches = [list(seg) for seg in segs]
+                segs.clear()
+                cols = []
+                for i in range(len(COLUMNS)):
+                    cols.append(np.concatenate([b[i] for b in batches]))
+                    for batch in batches:
+                        batch[i] = None
+                segs.append(tuple(cols))
             else:
                 cols = [()] * len(COLUMNS)
             self._frozen = FrozenTrace.from_columns(

@@ -26,6 +26,7 @@ from repro.streams.runstats import UNBOUNDED, truncate_bound
 
 __all__ = [
     "UNBOUNDED",
+    "StreamBatch",
     "intersect",
     "intersect_count",
     "subtract",
@@ -170,39 +171,59 @@ def vinter(
     return float(np.sum(combined))
 
 
+class StreamBatch:
+    """Many (key,value) streams concatenated once, so that
+    :func:`vinter_mac_sweep` can sweep them against many streams without
+    rebuilding the arrays: the keys and values end to end, each
+    stream's size, and the stream each key belongs to."""
+
+    __slots__ = ("keys", "vals", "sizes", "owner")
+
+    def __init__(self, keys: list[np.ndarray], vals: list[np.ndarray]):
+        n = len(keys)
+        self.sizes = np.fromiter((k.size for k in keys), dtype=np.int64,
+                                 count=n)
+        self.keys = (np.concatenate(keys) if n
+                     else np.empty(0, dtype=np.int64))
+        self.vals = (np.concatenate(vals) if n
+                     else np.empty(0, dtype=np.float64))
+        self.owner = np.repeat(np.arange(n), self.sizes)
+
+    def __len__(self) -> int:
+        return int(self.sizes.size)
+
+
 def vinter_mac_sweep(
     a_keys: np.ndarray,
     a_vals: np.ndarray,
-    b_keys: list[np.ndarray],
-    b_vals: list[np.ndarray],
+    batch: StreamBatch,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Unbounded MAC ``S_VINTER`` of one stream against each of many.
 
     Returns the match count and the value of
     ``vinter(a_keys, a_vals, b_keys[j], b_vals[j], "MAC")`` for every
-    ``j``, bit for bit.  One ``searchsorted`` pass over the concatenated
-    ``b`` operands finds every match; each pair's products then sit
-    contiguously in key order, as ``vinter`` forms them.  Pairs with the
-    same match count are summed together as the rows of one C-contiguous
-    block along ``axis=1``, which reduces each row exactly as ``np.sum``
-    reduces it alone.  (``np.add.reduceat`` does not: its segment sums
-    differ from ``np.sum`` in the last bits on most segments of three or
-    more elements.)
+    stream ``j`` of ``batch``, bit for bit.  One ``searchsorted`` pass
+    over the concatenated ``b`` operands finds every match; each pair's
+    products then sit contiguously in key order, as ``vinter`` forms
+    them.  Pairs with the same match count are summed together as the
+    rows of one C-contiguous block along ``axis=1``, which reduces each
+    row exactly as ``np.sum`` reduces it alone.  (``np.add.reduceat``
+    does not: its segment sums differ from ``np.sum`` in the last bits
+    on most segments of three or more elements.)
     """
-    n = len(b_keys)
+    n = len(batch)
     counts = np.zeros(n, dtype=np.int64)
     values = np.zeros(n, dtype=np.float64)
     if n == 0 or a_keys.size == 0:
         return counts, values
-    sizes = np.fromiter((k.size for k in b_keys), dtype=np.int64, count=n)
-    keys = np.concatenate(b_keys)
+    keys = batch.keys
     pos = np.searchsorted(a_keys, keys)
     hit = pos < a_keys.size
     hit[hit] = a_keys[pos[hit]] == keys[hit]
-    counts = np.bincount(np.repeat(np.arange(n), sizes)[hit], minlength=n)
+    counts = np.bincount(batch.owner[hit], minlength=n)
     if not hit.any():
         return counts, values
-    products = a_vals[pos[hit]] * np.concatenate(b_vals)[hit]
+    products = a_vals[pos[hit]] * batch.vals[hit]
     starts = np.cumsum(counts) - counts
     for count in np.unique(counts[counts > 0]).tolist():
         pairs = np.flatnonzero(counts == count)

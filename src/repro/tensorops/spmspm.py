@@ -40,14 +40,15 @@ def spmspm_inner(a: SparseMatrix, b: SparseMatrix,
     """Inner-product dataflow (one ``S_VINTER`` per output candidate).
 
     Each row of A sweeps every non-empty column of B in one
-    :meth:`~repro.machine.context.Machine.vinter_sweep` call."""
+    :meth:`~repro.machine.context.Machine.vinter_sweep` call; the
+    columns are prepared for it once."""
     machine = machine or Machine(name="spmspm-inner")
     bt = b.transpose()  # CSC view of B; format conversion is input prep
     # The non-empty columns of B, swept by every row of A.
     col_ids = np.flatnonzero(np.diff(bt.indptr))
-    col_keys = [bt.row_keys(j) for j in col_ids]
-    col_vals = [bt.row_vals(j) for j in col_ids]
-    granules = [("bcol", id(b), j) for j in col_ids.tolist()]
+    columns = machine.sweep_streams(
+        [bt.row_keys(j) for j in col_ids], [bt.row_vals(j) for j in col_ids],
+        [("bcol", id(b), j) for j in col_ids.tolist()])
     rows, cols, vals = [], [], []
     for i in range(a.shape[0]):
         if a.row_nnz(i) == 0:
@@ -55,8 +56,8 @@ def spmspm_inner(a: SparseMatrix, b: SparseMatrix,
         a_row = machine.load_values(
             a.row_keys(i), a.row_vals(i), ("arow", id(a), i), priority=1)
         machine.scalar(LOOP_INSTRS)
-        values = machine.vinter_sweep(a_row, col_keys, col_vals, granules)
-        machine.scalar(LOOP_INSTRS * len(col_keys))
+        values = machine.vinter_sweep(a_row, columns)
+        machine.scalar(LOOP_INSTRS * len(columns))
         nz = np.flatnonzero(values)
         rows.extend([i] * nz.size)
         cols.extend(col_ids[nz].tolist())

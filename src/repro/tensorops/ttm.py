@@ -3,7 +3,7 @@
 Each CSF fiber of A contracts against every row of B — one
 ``S_VINTER`` MAC per (fiber, k) pair, each fiber's sweep over B's rows
 recorded by one :meth:`~repro.machine.context.Machine.vinter_sweep`
-call.  B's rows are the hot reusable streams (scratchpad priority),
+call over B's rows, prepared once.  B's rows are the hot reusable streams (scratchpad priority),
 which is what gives TTM its higher speedup than TTV on denser tensors
 (Section 6.9.1).
 """
@@ -28,9 +28,9 @@ def ttm(a: CSFTensor, b: SparseMatrix,
             f"matrix has {b.shape[1]} columns, tensor mode has {a.shape[2]}")
     # The non-empty rows of B, swept by every fiber of A.
     row_ids = np.flatnonzero(np.diff(b.indptr))
-    row_keys = [b.row_keys(k) for k in row_ids]
-    row_vals = [b.row_vals(k) for k in row_ids]
-    granules = [("brow", id(b), k) for k in row_ids.tolist()]
+    b_rows = machine.sweep_streams(
+        [b.row_keys(k) for k in row_ids], [b.row_vals(k) for k in row_ids],
+        [("brow", id(b), k) for k in row_ids.tolist()], priority=1)
     coords, vals = [], []
     offset = 0
     for i, j, l_keys, l_vals in a.fibers():
@@ -40,9 +40,8 @@ def ttm(a: CSFTensor, b: SparseMatrix,
             l_keys, l_vals, ("csf-chunk", id(a), offset // 16))
         offset += int(l_keys.size)
         machine.scalar(LOOP_INSTRS)
-        values = machine.vinter_sweep(fiber, row_keys, row_vals, granules,
-                                      priority=1)
-        machine.scalar(LOOP_INSTRS * len(row_keys))
+        values = machine.vinter_sweep(fiber, b_rows)
+        machine.scalar(LOOP_INSTRS * len(b_rows))
         nz = np.flatnonzero(values)
         coords.extend((i, j, k) for k in row_ids[nz].tolist())
         vals.extend(values[nz].tolist())

@@ -198,6 +198,9 @@ def run_workload(workload: str | WorkloadSpec, dataset: str | None = None,
     led.span("freeze", t0, workload=spec.name, dataset=dspec.key,
              num_ops=trace.num_ops)
     lengths = np.asarray(machine.length_samples, dtype=np.int64)
+    # The frozen trace is all that is priced and stored: drop the
+    # machine, its op batches and its access log before either.
+    del machine
     if cache is not None:
         cache.put(key, trace, lengths=lengths, meta={
             "kind": spec.family, "workload": spec.name, "app": spec.app,

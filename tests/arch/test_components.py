@@ -120,14 +120,14 @@ class TestScratchpad:
 class TestTransferModel:
     def test_sparsecore_cheaper_on_cold_stream(self):
         tm = TransferModel(SparseCoreConfig())
-        cost = tm.load_stream(("edges", 5), 256, priority=0)
+        cost = tm.cost(tm.load_stream(("edges", 5), 256, priority=0))
         # Prefetched pipelined fetch beats demand-latency fetch.
         assert cost.sc_cycles < cost.cpu_cycles
 
     def test_scratchpad_hit_is_free(self):
         tm = TransferModel(SparseCoreConfig())
         tm.load_stream(("edges", 5), 256, priority=1)
-        cost = tm.load_stream(("edges", 5), 256, priority=1)
+        cost = tm.cost(tm.load_stream(("edges", 5), 256, priority=1))
         assert cost.sc_cycles == 0.0
         assert cost.scratchpad_hit
 
@@ -136,7 +136,7 @@ class TestTransferModel:
         # pipelined path, but the scratchpad missed it.
         counters = Counters()
         tm = TransferModel(SparseCoreConfig(), counters)
-        cost = tm.load_stream(("edges", 0, 7), 0, priority=1)
+        cost = tm.cost(tm.load_stream(("edges", 0, 7), 0, priority=1))
         assert cost.sc_cycles == 0.0
         assert not cost.scratchpad_hit
         assert counters.get("scratchpad.misses") == 1
@@ -144,7 +144,7 @@ class TestTransferModel:
 
     def test_value_loads_charged_on_both(self):
         tm = TransferModel(SparseCoreConfig())
-        cost = tm.load_values(("vals", 1), 512)
+        cost = tm.cost(tm.load_values(("vals", 1), 512))
         assert cost.cpu_cycles > 0
         assert cost.sc_cycles > 0
 
@@ -152,5 +152,5 @@ class TestTransferModel:
         tm = TransferModel(SparseCoreConfig())
         tm.load_stream(("edges", 1), 64, priority=1)
         tm.reset()
-        cost = tm.load_stream(("edges", 1), 64, priority=1)
+        cost = tm.cost(tm.load_stream(("edges", 1), 64, priority=1))
         assert not cost.scratchpad_hit

@@ -15,6 +15,7 @@ from repro.errors import (
 from repro.graph import CSRGraph
 from repro.isa import EOS, Opcode, assemble
 from repro.isa.spec import Instruction
+from repro.difftest.invariants import oracle_costs
 from tests.recorders import RowsTrace
 
 
@@ -287,7 +288,8 @@ def _record(program, reference, virtualize=False):
     mem = SimMemory()
     ex = StreamExecutor(mem, virtualize=virtualize)
     if reference:
-        ex.trace = RowsTrace("executor", width=ex.config.su_buffer_width)
+        ex.trace = RowsTrace("executor", width=ex.config.su_buffer_width,
+                             log=ex.transfer)
     program(ex, mem)
     return ex
 
@@ -387,3 +389,29 @@ class TestRecorderMatchesPerOpReference:
     def test_virtualized_program_spills_and_swaps_in(self):
         got = _assert_matches_reference(_spilling, virtualize=True)
         assert got.spills > 0 and got.swap_ins > 0
+
+    def test_spilled_first_load_keeps_its_charge(self):
+        # Stream 0's load is log row 0 (a falsy index).  It is spilled
+        # before any op takes its charge; swapped back in, the stream
+        # must still carry row 0's charge, not its swap-in load's.
+        mem = SimMemory()
+        ex = StreamExecutor(mem, virtualize=True)
+        n = ex.config.num_stream_regs
+        for sid in range(n + 1):
+            ex.execute(I(Opcode.S_READ, mem.register(
+                np.arange(sid, sid + 40, dtype=np.int64), f"s{sid}"),
+                40, sid, 0))
+        assert ex.spills == 1 and ex.swap_ins == 0
+        ex.execute(I(Opcode.S_INTER_C, 0, n, "R0", -1))
+        assert ex.swap_ins == 1
+        rows = ex.transfer.rows()
+        costs = oracle_costs(rows, ex.config)
+        read = [i for i, (key, _, _) in enumerate(rows) if key[0] == "key"]
+        swap_in = [i for i, (key, _, _) in enumerate(rows)
+                   if key == ("spill", 0)][-1]
+        frozen = ex.trace.freeze()
+        assert read[0] == 0 and frozen.num_ops == 1
+        for side, col in enumerate((frozen.cpu_mem, frozen.sc_mem)):
+            assert col[0] == 0.0 + costs[0][side] + costs[read[n]][side]
+        # The swap-in load (an L1 hit on the spill) costs something else.
+        assert costs[swap_in][0] != costs[0][0]

@@ -5,9 +5,9 @@ counting leaf level under one DFS node, and
 :meth:`~repro.machine.context.Machine.nest_intersect` expands one
 ``S_NESTINTER`` into all its sub-ops in one call.  Both must record
 exactly what the per-op loop records: the same ops in the same order,
-the same stream loads through the memory model (so every LRU ends in
-the same state), the same memory charges, scalar instructions and
-length samples, and under a probe the same counters and events.
+the same access-log rows (so every level of the memory model is in the
+same state), the same memory charges, scalar instructions and length
+samples, and under a probe the same counters and events.
 
 :class:`_PerOpRunner` and :class:`_PerOpMachine` keep that loop as the
 reference: the plan runner's counting level as one ``Machine`` call per
@@ -45,16 +45,17 @@ class _PerOpMachine(Machine):
     def nest_intersect(self, s, graph):
         s = self._coerce(s)
         total = 0
-        cpu_pend, sc_pend = s.take_pending()
+        pending = s.take_pending()
         with self.burst():
             for s_i in s.keys.tolist():
                 nbr = self.neighbors(graph, s_i)
-                cpu_n, sc_n = nbr.take_pending()
+                mem = (nbr.take_pending(),)
+                if pending is not None:
+                    mem += (pending,)
                 self._defer(OpKind.INTERSECT, s.keys, nbr.keys, s_i,
-                            burst=self._burst, nested=True,
-                            cpu_mem=cpu_n + cpu_pend, sc_mem=sc_n + sc_pend)
+                            burst=self._burst, nested=True, mem=mem)
                 total += ops.intersect_count(s.keys, nbr.keys, s_i)
-                cpu_pend = sc_pend = 0.0
+                pending = None
                 self.trace.add_cpu_scalar(CPU_NESTED_LOOP_INSTRS)
                 if self.record_lengths:
                     self.length_samples.append(len(s))
@@ -203,21 +204,13 @@ def _record(name, graph, per_op, probe):
     return count, machine
 
 
-def _lrus(machine):
-    cpu = machine.transfer.cpu_hierarchy
-    sc = machine.transfer.sc_hierarchy
-    return (cpu._l1, cpu._l2, cpu._l3, sc._l2, sc._l3,
-            machine.transfer.scratchpad._lru)
-
-
 def _assert_same_machines(got, want, probes):
     """Equal frozen traces (and so scalar counters), length samples,
-    LRU states and, under probes, counters and events."""
+    access logs (the same rows leave every memory level in the same
+    state) and, under probes, counters and events."""
     assert got.freeze() == want.freeze()
     assert got.length_samples == want.length_samples
-    for lru, ref in zip(_lrus(got), _lrus(want)):
-        assert list(lru._entries.items()) == list(ref._entries.items())
-        assert lru.used_bytes == ref.used_bytes
+    assert got.transfer.rows() == want.transfer.rows()
     if probes[0] is not None:
         assert probes[0].counters.flat() == probes[1].counters.flat()
         assert probes[0].tracer.events == probes[1].tracer.events

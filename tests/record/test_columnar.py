@@ -21,6 +21,7 @@ from repro.arch.cpu import CpuModel
 from repro.arch.multicore import MultiCoreModel
 from repro.arch.sparsecore import SparseCoreModel
 from repro.arch.trace import OpKind, Trace
+from repro.arch.transfer import TransferModel
 from repro.obs.attribution import attribute
 from repro.record.columnar import ColumnarTrace, analyze_segments
 from repro.streams.runstats import (SU_BUFFER_WIDTH, UNBOUNDED,
@@ -97,20 +98,40 @@ class TestAnalyzeSegments:
              (keys, keys, 5)], SU_BUFFER_WIDTH)
 
 
+def _log_rows(log, i):
+    """Op ``i``'s log rows: a value gather on odd ops, then a load."""
+    mem = ()
+    if i % 2:
+        mem = (log.load_values(("v", i % 3), 8 * (i % 5)),)
+    return mem + (log.load_stream(("g", i % 5), 8 * (i % 7), i % 2),)
+
+
+def _charge(log, mem):
+    cpu = sc = 0.0
+    for row in mem:
+        cost = log.cost(row)
+        cpu += cost.cpu_cycles
+        sc += cost.sc_cycles
+    return cpu, sc
+
+
 def _record_both(ops, **columnar_kwargs):
-    """Feed one op plan to the per-op reference ``Trace`` (``rows``)
-    and the recorder (``cols``); return both."""
+    """Feed one op plan to the per-op reference ``Trace`` (``rows``,
+    charged its rows' summed costs) and the recorder (``cols``, charged
+    by its access log); return both."""
     kinds = (OpKind.INTERSECT, OpKind.SUBTRACT, OpKind.MERGE)
+    log = TransferModel()
     rows = Trace("t")
-    cols = ColumnarTrace("t", **columnar_kwargs)
+    cols = ColumnarTrace("t", log=log, **columnar_kwargs)
     for i, (a, b, bound) in enumerate(ops):
         kind = kinds[i % 3]
+        mem = _log_rows(log, i)
+        cpu, sc = _charge(log, mem)
         rows.add_op(kind, analyze_pair(a, b, bound), burst=i % 4,
-                    nested=bool(i % 2), cpu_mem=0.5 * i, sc_mem=0.25 * i,
+                    nested=bool(i % 2), cpu_mem=cpu, sc_mem=sc,
                     flop_pairs=i)
         cols.add_op_keys(kind, a, b, bound, burst=i % 4,
-                         nested=bool(i % 2), cpu_mem=0.5 * i,
-                         sc_mem=0.25 * i, flop_pairs=i)
+                         nested=bool(i % 2), mem=mem, flop_pairs=i)
     return rows, cols
 
 
@@ -177,13 +198,14 @@ class TestColumnarTrace:
 def _mixed_trace():
     """A live trace with every op kind, bursts, nesting and charges."""
     rng = np.random.default_rng(19)
-    trace = ColumnarTrace("t")
+    log = TransferModel()
+    trace = ColumnarTrace("t", log=log)
     burst = trace.new_burst()
     for i, (a, b, bound) in enumerate(_random_ops(rng, 30)):
         kind = OpKind(i % 5)
         trace.add_op_keys(kind, a, b, bound,
                           burst=burst if i % 3 else -1, nested=i % 4 == 0,
-                          cpu_mem=2.0 * i, sc_mem=0.5 * i,
+                          mem=_log_rows(log, i),
                           flop_pairs=i if kind >= OpKind.VINTER else 0)
     trace.add_scalar(40)
     trace.add_cpu_scalar(12)

@@ -48,9 +48,9 @@ class _TeeTrace(ColumnarTrace):
 
     __slots__ = ("reference",)
 
-    def __init__(self, name="trace", *, width):
-        super().__init__(name, width=width)
-        self.reference = RowsTrace(name, width=width)
+    def __init__(self, name="trace", *, width, log=None):
+        super().__init__(name, width=width, log=log)
+        self.reference = RowsTrace(name, width=width, log=log)
 
     def add_op_keys(self, kind, a_keys, b_keys, bound=UNBOUNDED, **op):
         self.reference.add_op_keys(kind, a_keys, b_keys, bound, **op)

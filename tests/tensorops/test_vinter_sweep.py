@@ -27,10 +27,11 @@ class _PerOpMachine(Machine):
 
     __slots__ = ()
 
-    def vinter_sweep(self, a, keys, vals, granules, priority=0):
+    def vinter_sweep(self, a, sweep):
         return np.array([
-            self.vinter(a, self.load_values(k, v, g, priority), "MAC")
-            for k, v, g in zip(keys, vals, granules)], dtype=np.float64)
+            self.vinter(a, self.load_values(k, v, g, sweep.priority), "MAC")
+            for k, v, g in zip(sweep.keys, sweep.vals, sweep.granules)],
+            dtype=np.float64)
 
 
 def _random_matrix(m, n, density, seed):

@@ -74,8 +74,8 @@ class _SmallBatchTrace(ColumnarTrace):
 
     __slots__ = ()
 
-    def __init__(self, name="trace", *, width):
-        super().__init__(name, width=width, compact_elems=64)
+    def __init__(self, name="trace", *, width, log=None):
+        super().__init__(name, width=width, compact_elems=64, log=log)
 
 
 _RECORDERS = {"rows": RowsTrace, "columnar": _SmallBatchTrace}
