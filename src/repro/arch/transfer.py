@@ -294,19 +294,24 @@ class TransferModel:
         """Each op's ``(cpu_mem, sc_mem)``: the cycles of its rows
         (``mem[i]``, row indices in summation order) added left to right
         from zero, as the op's charge was summed when recorded."""
-        n = len(mem)
+        lens = np.fromiter(map(len, mem), dtype=np.int64, count=len(mem))
+        return self.charge_rows(
+            np.fromiter(chain.from_iterable(mem), dtype=np.int64,
+                        count=int(lens.sum())), lens)
+
+    def charge_rows(self, rows: np.ndarray, counts: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`charges` of ops whose rows are given end to end: op
+        ``i`` is charged for the next ``counts[i]`` of ``rows``."""
+        n = counts.size
         cpu, sc = np.zeros(n), np.zeros(n)
-        lens = np.fromiter(map(len, mem), dtype=np.int64, count=n)
-        total = int(lens.sum())
-        if not total:
+        if not rows.size:
             return cpu, sc
-        rows = np.fromiter(chain.from_iterable(mem), dtype=np.int64,
-                           count=total)
         self.price()
         row_cpu, row_sc = self._row_cycles(rows)
-        starts = np.cumsum(lens) - lens
-        for k in range(int(lens.max())):
-            ops = np.flatnonzero(lens > k)
+        starts = np.cumsum(counts) - counts
+        for k in range(int(counts.max())):
+            ops = np.flatnonzero(counts > k)
             at = starts[ops] + k
             cpu[ops] += row_cpu[at]
             sc[ops] += row_sc[at]

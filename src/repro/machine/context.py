@@ -13,14 +13,17 @@ rows it is charged for: its value gathers, then the pending loads of
 ``a`` and ``b``, in the order its charge sums them.  The trace has the
 log price its rows when it analyses its ops.  Three calls record many
 ops at once, exactly as the per-op calls would: ``vinter_sweep`` a
-whole row of ``S_VREAD`` + ``S_VINTER`` pairs, ``count_sweep`` a whole
-GPM counting level under one DFS node, and ``nest_intersect`` every
-sub-op of one ``S_NESTINTER``; each appends its log rows as arrays.
-Every op is recorded through
-:meth:`~repro.record.columnar.ColumnarTrace.add_op_keys`, probed or
-not; :meth:`Machine.freeze` freezes the trace and, under a probe,
-derives the op counters and the event timeline from the frozen columns
-and the memory counters from the priced log.
+kernel's whole cross product of ``S_VREAD`` + ``S_VINTER`` pairs (the
+inner-product SpMSpM and TTM), ``count_sweep`` a whole GPM counting
+level under one DFS node, and ``nest_intersect`` every sub-op of one
+``S_NESTINTER``; each appends its log rows as arrays.  Ops reach the
+trace one at a time through
+:meth:`~repro.record.columnar.ColumnarTrace.add_op_keys`, and
+``vinter_sweep``'s as blocks of arrays through
+:meth:`~repro.record.columnar.ColumnarTrace.add_ops`, probed or not;
+:meth:`Machine.freeze` freezes the trace and, under a probe, derives
+the op counters and the event timeline from the frozen columns and the
+memory counters from the priced log.
 
 Kernels annotate structure the hardware exploits:
 
@@ -90,28 +93,38 @@ class StreamOperand:
 
 
 class StreamSweep:
-    """The (key,value) streams a kernel sweeps row after row with
-    :meth:`Machine.vinter_sweep`, prepared once per kernel call by
-    :meth:`Machine.sweep_streams`: their arrays concatenated for
-    :func:`~repro.streams.ops.vinter_mac_sweep`, and what the access log
-    appends for each stream — its granule's ids (-1 for none), key
-    bytes and row kind."""
+    """(key,value) streams prepared once by :meth:`Machine.sweep_streams`
+    for :meth:`Machine.vinter_sweep`: their arrays, also end to end
+    (``flat_keys``/``flat_vals``, stream ``i`` at ``starts[i]`` with
+    ``sizes[i]`` keys), and what the access log appends for each
+    stream — its granule's ids (-1 for none), key bytes and row kind."""
 
-    __slots__ = ("log", "keys", "vals", "granules", "priority", "batch",
-                 "gids", "vgids", "nbytes", "kind")
+    __slots__ = ("log", "keys", "vals", "granules", "priority", "flat_keys",
+                 "flat_vals", "sizes", "starts", "gids", "vgids", "nbytes",
+                 "kind")
 
     def __init__(self, log: TransferModel, keys: Sequence[np.ndarray],
                  vals: Sequence[np.ndarray],
                  granules: Sequence[tuple | None], priority: int = 0):
+        if any(v is None for v in vals):
+            raise StreamTypeFault(
+                "a (key,value) stream is required for value computation")
         self.log = log
         self.keys, self.vals = list(keys), list(vals)
         self.granules, self.priority = list(granules), priority
-        self.batch = ops.StreamBatch(self.keys, self.vals)
+        n = len(self.keys)
+        self.sizes = np.fromiter((k.size for k in self.keys),
+                                 dtype=np.int64, count=n)
+        self.starts = np.cumsum(self.sizes) - self.sizes
+        self.flat_keys = (np.concatenate(self.keys) if n
+                          else np.empty(0, dtype=np.int64))
+        self.flat_vals = (np.concatenate(self.vals) if n
+                          else np.empty(0, dtype=np.float64))
         ids = [(log.granule_id(g), log.granule_id(("vals",) + g))
                if g is not None else (-1, -1) for g in self.granules]
         self.gids, self.vgids = np.array(ids, dtype=np.int64).reshape(
             -1, 2).T
-        self.nbytes = self.batch.sizes * KEY_BYTES
+        self.nbytes = self.sizes * KEY_BYTES
         self.kind = PRIORITY if priority > 0 else STREAM
 
     def __len__(self) -> int:
@@ -198,7 +211,7 @@ class Machine:
             row = operand.pending = self.transfer.load_stream(
                 granule, nbytes, priority)
             if self.obs.enabled:
-                self._observe_load(granule, nbytes, row)
+                self._observe_load(granule, nbytes, row, self.trace.num_ops)
         return operand
 
     def load_values(self, keys: np.ndarray, values: np.ndarray,
@@ -272,16 +285,16 @@ class Machine:
 
     # -- observability -----------------------------------------------------------
 
-    def _observe_load(self, granule: tuple, nbytes: int, row: int) -> None:
-        """Count one stream load and queue its fetch instant (its
-        scratchpad-hit flag is read from the priced log when emitted)."""
+    def _observe_load(self, granule: tuple, nbytes: int, row: int,
+                      at: int) -> None:
+        """Count one stream load and queue its fetch instant before op
+        ``at`` (its scratchpad-hit flag is read from the priced log when
+        emitted)."""
         counters = self.obs.counters
         if counters.enabled:
             counters.inc("machine.stream_loads")
             counters.add("machine.stream_bytes", nbytes)
         if self.obs.tracer.enabled:
-            at = self.trace.num_ops
-
             def emit(clocks, instant=self.obs.tracer.instant,
                      hit=self.transfer.scratchpad_hit):
                 instant("fetch " + granule[0], "fetch", clocks[at], tid=1,
@@ -485,86 +498,143 @@ class Machine:
                       priority: int = 0) -> StreamSweep:
         """Prepare (key,value) streams for :meth:`vinter_sweep`: stream
         ``j`` is ``keys[j]``/``vals[j]`` of granule ``granules[j]``
-        (None: on-chip data), loaded at ``priority``.  A kernel that
-        sweeps the same streams row after row prepares them once."""
+        (None: on-chip data), loaded at ``priority``.  A kernel
+        prepares the streams it sweeps once."""
         return StreamSweep(self.transfer, keys, vals, granules, priority)
 
-    def vinter_sweep(self, a: StreamOperand, sweep: StreamSweep) -> np.ndarray:
-        """``S_VINTER`` MAC of ``a`` against every stream of ``sweep``.
+    def vinter_sweep(self, rows: StreamSweep, sweep: StreamSweep
+                     ) -> np.ndarray:
+        """``S_VINTER`` MAC of every stream of ``rows`` against every
+        stream of ``sweep``.
 
         Records exactly what this loop records, in the same order::
 
-            for j in range(len(sweep)):
-                b = self.load_values(sweep.keys[j], sweep.vals[j],
-                                     sweep.granules[j], sweep.priority)
-                out[j] = self.vinter(a, b, "MAC")
+            for i in range(len(rows)):
+                a = self.load_values(rows.keys[i], rows.vals[i],
+                                     rows.granules[i], rows.priority)
+                for j in range(len(sweep)):
+                    b = self.load_values(sweep.keys[j], sweep.vals[j],
+                                         sweep.granules[j], sweep.priority)
+                    out[i, j] = self.vinter(a, b, "MAC")
 
-        — the same ops, access-log rows (each stream's load, then, when
-        the pair matches, the gathers of ``a``'s and its values) and
-        per-op charges (``a``'s pending charge lands on the first op) —
-        and returns ``out`` bit for bit.  One call records a kernel's
-        whole row sweep, much as an indirection stream walks a whole
-        index array from one configuration: the values come from one
-        batched kernel (:func:`repro.streams.ops.vinter_mac_sweep`), the
-        log rows are appended as arrays, and each op pays only its
-        deferred record.
+        — the same ops, access-log rows, per-op charges, setup
+        instructions, length samples and probe counters and fetch
+        marks — and returns ``out`` bit for bit.  One call records a
+        kernel's whole cross product, much as a stream semantic register
+        streams a whole loop nest from one configuration: it works in
+        blocks of whole rows of at most the trace's compaction bound of
+        operand keys (one row at least), whose values come from one
+        :func:`~repro.streams.ops.vinter_mac_cross` call, whose log rows
+        are appended as one array and whose ops reach the trace as
+        arrays (:meth:`~repro.record.columnar.ColumnarTrace.add_ops`).
         """
-        av = self._require_values(a)
-        if sweep.log is not self.transfer:
+        if rows.log is not self.transfer or sweep.log is not self.transfer:
             raise ValueError("the sweep was prepared by another machine")
-        counts, values = ops.vinter_mac_sweep(a.keys, av, sweep.batch)
-        if not len(sweep):
-            return values
-        # Pair j's rows: its load (if it has a granule), then, if it
-        # matches, the gathers of a's values and of its own.
-        loaded = sweep.gids >= 0
-        gather_a = (counts > 0) & (a.vgranule is not None)
-        gather_b = (counts > 0) & loaded
-        width = loaded + gather_a.astype(np.int64) + gather_b
-        at = np.cumsum(width) - width
-        at_a = at + loaded
-        gids = np.empty(int(width.sum()), dtype=np.int64)
-        nbytes = np.empty_like(gids)
-        kinds = np.full(gids.size, VALUE, dtype=np.uint8)
-        gids[at[loaded]] = sweep.gids[loaded]
-        nbytes[at[loaded]] = sweep.nbytes[loaded]
-        kinds[at[loaded]] = sweep.kind
-        if gather_a.any():
-            gids[at_a[gather_a]] = self.transfer.granule_id(a.vgranule)
-        gids[(at_a + gather_a)[gather_b]] = sweep.vgids[gather_b]
+        out = np.empty((len(rows), len(sweep)))
+        # Row i's ops hold its keys once per stream and every stream.
+        ends = np.cumsum(rows.sizes * len(sweep) + int(sweep.sizes.sum()))
+        lo = 0
+        while lo < len(rows):
+            hi = max(lo + 1, int(ends.searchsorted(
+                (ends[lo - 1] if lo else 0) + self.trace.compact_elems,
+                side="right")))
+            out[lo:hi] = self._vinter_block(rows, lo, hi, sweep)
+            lo = hi
+        return out
+
+    def _vinter_block(self, rows: StreamSweep, lo: int, hi: int,
+                      sweep: StreamSweep) -> np.ndarray:
+        """Record rows ``lo:hi`` of :meth:`vinter_sweep`; returns their
+        values."""
+        r, s = hi - lo, len(sweep)
+        sizes = rows.sizes[lo:hi]
+        k0, k1 = int(rows.starts[lo]), int(rows.starts[hi - 1] + sizes[-1])
+        a_keys = rows.flat_keys[k0:k1]
+        counts, values = ops.vinter_mac_cross(
+            a_keys, rows.flat_vals[k0:k1], sizes, sweep.flat_keys,
+            sweep.flat_vals, sweep.sizes)
+        counts = counts.ravel()
+        # The log, in the loop's order: row i's load (if it has a
+        # granule), then per pair its stream's load and, when it
+        # matches, the gathers of a's values and of b's.  Op o = i*s + j.
+        row_load = rows.gids[lo:hi] >= 0
+        pair_load = np.tile(sweep.gids >= 0, r)
+        match = counts > 0
+        gather_a = match & np.repeat(row_load, s)
+        gather_b = match & pair_load
+        width = (pair_load.astype(np.int64) + gather_a) + gather_b
+        loads_so_far = np.cumsum(row_load)
+        row_width = width.reshape(r, s).sum(axis=1)
+        row_at = loads_so_far - row_load + np.cumsum(row_width) - row_width
+        load_at = np.repeat(loads_so_far, s) + np.cumsum(width) - width
+        a_at = load_at + pair_load
+        b_at = a_at + gather_a
+        n_rows = int(loads_so_far[-1] + row_width.sum())
+        gids = np.empty(n_rows, dtype=np.int64)
+        nbytes = np.empty(n_rows, dtype=np.int64)
+        kinds = np.full(n_rows, VALUE, dtype=np.uint8)
+        at = row_at[row_load]
+        gids[at] = rows.gids[lo:hi][row_load]
+        nbytes[at] = rows.nbytes[lo:hi][row_load]
+        kinds[at] = rows.kind
+        at = load_at[pair_load]
+        gids[at] = np.tile(sweep.gids, r)[pair_load]
+        nbytes[at] = np.tile(sweep.nbytes, r)[pair_load]
+        kinds[at] = sweep.kind
         gathered = counts * _VALUE_BYTES
-        nbytes[at_a[gather_a]] = gathered[gather_a]
-        nbytes[(at_a + gather_a)[gather_b]] = gathered[gather_b]
+        gids[a_at[gather_a]] = np.repeat(rows.vgids[lo:hi], s)[gather_a]
+        nbytes[a_at[gather_a]] = gathered[gather_a]
+        gids[b_at[gather_b]] = np.tile(sweep.vgids, r)[gather_b]
+        nbytes[b_at[gather_b]] = gathered[gather_b]
         first = self.transfer.append(gids, nbytes, kinds)
-        observed = self.obs.enabled
-        defer, burst, kind = self._defer, self._burst, OpKind.VINTER
-        a_keys, pending = a.keys, a.take_pending()
-        for j, (b_keys, n_matches, load, row, ga, gb) in enumerate(zip(
-                sweep.keys, counts.tolist(), loaded.tolist(),
-                (first + at).tolist(), gather_a.tolist(),
-                gather_b.tolist())):
-            # As _record() sums them: the gathers, a's pending load, the
-            # pair's own load.
-            mem = ()
-            if n_matches:
-                mem = (row + load,) * ga + (row + load + ga,) * gb
-            if pending is not None:
-                mem += (pending,)
-                pending = None
-            if load:
-                mem += (row,)
-                if observed:
-                    self._observe_load(sweep.granules[j],
-                                       b_keys.size * KEY_BYTES, row)
-            defer(kind, a_keys, b_keys, UNBOUNDED, burst=burst, mem=mem,
-                  flop_pairs=n_matches)
-        self.trace.shared_scalar_instrs += OP_SETUP_INSTRS * len(sweep)
+        # Each op's rows, as _record() sums them: the gathers, the row's
+        # load on the row's first op, the pair's load.
+        row_first = np.zeros((r, s), dtype=bool)
+        row_first[:, :1] = row_load[:, None]
+        row_first = row_first.ravel()
+        n_mem = (gather_a + gather_b.astype(np.int64)) + row_first + pair_load
+        m_at = np.cumsum(n_mem) - n_mem
+        mem = np.empty(int(n_mem.sum()), dtype=np.int64)
+        mem[m_at[gather_a]] = first + a_at[gather_a]
+        m_at += gather_a
+        mem[m_at[gather_b]] = first + b_at[gather_b]
+        m_at += gather_b
+        mem[m_at[row_first]] = first + np.repeat(row_at, s)[row_first]
+        m_at += row_first
+        mem[m_at[pair_load]] = first + load_at[pair_load]
+        op = self.trace.num_ops
+        if self.obs.enabled:
+            self._observe_sweep(rows, lo, hi, sweep, first + row_at,
+                                first + load_at, op)
+        self.trace.add_ops(
+            OpKind.VINTER, a_keys[ops.repeat_streams(sizes, s)],
+            np.repeat(sizes, s), np.tile(sweep.flat_keys, r),
+            np.tile(sweep.sizes, r), counts, mem=mem, mem_counts=n_mem,
+            burst=self._burst)
+        self.trace.shared_scalar_instrs += OP_SETUP_INSTRS * r * s
         if self.record_lengths:
-            a_size = a_keys.size
-            for b_keys in sweep.keys:
-                self._append_length(a_size)
-                self._append_length(b_keys.size)
+            lengths = np.empty((r, s, 2), dtype=np.int64)
+            lengths[..., 0] = sizes[:, None]
+            lengths[..., 1] = sweep.sizes
+            self.length_samples += lengths.ravel().tolist()
         return values
+
+    def _observe_sweep(self, rows, lo, hi, sweep, row_at, load_at,
+                       op) -> None:
+        """Observe the loads of rows ``lo:hi`` of a sweep whose first op
+        is ``op``: row ``i``'s before its first op, each pair's before
+        its own (``row_at``/``load_at``: their log rows)."""
+        s = len(sweep)
+        loaded = [(j, g, n) for j, (g, n) in enumerate(
+            zip(sweep.granules, sweep.nbytes.tolist())) if g is not None]
+        for i, (granule, nbytes) in enumerate(zip(
+                rows.granules[lo:hi], rows.nbytes[lo:hi].tolist())):
+            if granule is not None:
+                self._observe_load(granule, nbytes, int(row_at[i]),
+                                   op + i * s)
+            for j, granule, nbytes in loaded:
+                o = i * s + j
+                self._observe_load(granule, nbytes, int(load_at[o]), op + o)
 
     def vmerge(self, alpha: float, a: StreamOperand,
                beta: float, b: StreamOperand) -> StreamOperand:
@@ -683,7 +753,7 @@ class Machine:
                 for row, (v, row_lo, row_hi) in zip(rows, loads):
                     self._observe_load(edges + (v[j],),
                                        (row_hi[j] - row_lo[j]) * KEY_BYTES,
-                                       row)
+                                       row, self.trace.num_ops)
             # As _record() sums them: the base's charge, then the step's.
             mem = (rows[-1],)
             for i, (kind, a_views, b_views) in enumerate(records):
@@ -746,7 +816,7 @@ class Machine:
                 row = first + i
                 if observed:
                     self._observe_load(edges + (s_i,), degree[i] * KEY_BYTES,
-                                       row)
+                                       row, self.trace.num_ops)
                 # The load's charge, then S's pending one.
                 defer(kind, keys[:i], below[i], burst=burst, nested=True,
                       mem=(row,) if pending is None else (row, pending))

@@ -7,7 +7,8 @@ as references to its key arrays plus its scalar operands, and the
 merge-run statistics of pending ops are computed in vectorised
 :func:`~repro.record.columnar.analyze_segments` batches when
 :data:`~repro.record.columnar.COMPACT_ELEMS` key elements are pending
-and at freeze time.  The frozen trace is a regular
+and at freeze time; a block of ops given as flat arrays is analysed
+the same way when it is recorded.  The frozen trace is a regular
 :class:`~repro.arch.trace.FrozenTrace`, so pricing, the run cache and
 a probe's counters and timeline never see how it was recorded.
 Nothing records through the per-op

@@ -3,10 +3,12 @@
 Every recorded stream op — from the recording
 :class:`~repro.machine.context.Machine`, probed or not, and from the
 instruction-level :class:`~repro.arch.executor.StreamExecutor` — goes
-through :meth:`ColumnarTrace.add_op_keys`.  Analysing each op as it is
-recorded (one :func:`~repro.streams.runstats.analyze_pair` walk per op,
-as the row-tuple :class:`~repro.arch.trace.Trace` reference takes it)
-would pay per-op interpreter work that dominates cold recording.
+through :meth:`ColumnarTrace.add_op_keys`, one op per call, or through
+:meth:`ColumnarTrace.add_ops`, a block of ops given as flat arrays
+(``Machine.vinter_sweep``'s cross products).  Analysing each op as it
+is recorded (one :func:`~repro.streams.runstats.analyze_pair` walk per
+op, as the row-tuple :class:`~repro.arch.trace.Trace` reference takes
+it) would pay per-op interpreter work that dominates cold recording.
 :class:`ColumnarTrace` decouples traversal from analysis instead:
 recording an op only stores references to its (bound-truncated) key
 arrays plus the scalar operands (kind, burst id, the access-log rows it
@@ -16,10 +18,12 @@ operations are computed in one vectorised pass at
 :data:`COMPACT_ELEMS` bounds held memory).  The same pass asks the
 trace's access log (:class:`~repro.arch.transfer.TransferModel`) to
 price the rows logged so far and sum each op's charge, then drops the
-ops' row indices.
+ops' row indices.  A block from :meth:`ColumnarTrace.add_ops` goes
+through the same pass at once, after the pending ops.
 
 The batch analyser :func:`analyze_segments` concatenates every
-operand pair into two flat key arrays, offsetting each operation's keys
+operand pair into two flat key arrays (:func:`analyze_flat` takes them
+so), offsetting each operation's keys
 by ``op_id * K`` (``K`` greater than any key) so one global sorted
 union interleaves all operations at once while keeping them disjoint.
 Per-op statistics then fall out of ``bincount`` aggregations over the
@@ -50,7 +54,6 @@ from repro.streams.runstats import SU_BUFFER_WIDTH, UNBOUNDED, truncate_bound
 #: batches analyse at ~110ns/elem, 64k batches at ~75ns/elem).
 COMPACT_ELEMS = 65_536
 
-
 def analyze_segments(a_list, b_list, width: int = SU_BUFFER_WIDTH):
     """Batched :func:`~repro.streams.runstats.analyze_pair` over n ops.
 
@@ -63,16 +66,21 @@ def analyze_segments(a_list, b_list, width: int = SU_BUFFER_WIDTH):
     n = len(a_list)
     na = np.fromiter((a.size for a in a_list), count=n, dtype=np.int64)
     nb = np.fromiter((b.size for b in b_list), count=n, dtype=np.int64)
+    A = np.concatenate(a_list) if na.sum() else np.empty(0, dtype=np.int64)
+    B = np.concatenate(b_list) if nb.sum() else np.empty(0, dtype=np.int64)
+    return analyze_flat(A, na, B, nb, width)
+
+
+def analyze_flat(A: np.ndarray, na: np.ndarray, B: np.ndarray,
+                 nb: np.ndarray, width: int = SU_BUFFER_WIDTH):
+    """:func:`analyze_segments` over operands given end to end: op ``i``
+    takes the next ``na[i]`` keys of ``A`` and ``nb[i]`` of ``B``."""
+    n = na.size
     n_union = np.zeros(n, dtype=np.int64)
     n_matches = np.zeros(n, dtype=np.int64)
     n_runs = np.zeros(n, dtype=np.int64)
     su_int = np.zeros(n, dtype=np.int64)
     su_sub = np.zeros(n, dtype=np.int64)
-    if n == 0:
-        return na, nb, n_union, n_matches, n_runs, su_int, su_sub
-
-    A = np.concatenate(a_list) if na.sum() else np.empty(0, dtype=np.int64)
-    B = np.concatenate(b_list) if nb.sum() else np.empty(0, dtype=np.int64)
     if A.size == 0 and B.size == 0:
         return na, nb, n_union, n_matches, n_runs, su_int, su_sub
     A = A.astype(np.int64, copy=False)
@@ -85,8 +93,10 @@ def analyze_segments(a_list, b_list, width: int = SU_BUFFER_WIDTH):
     if n > 1 and K > (2 ** 62) // n:
         # Offsets would overflow int64: split the batch and recurse.
         mid = n // 2
-        left = analyze_segments(a_list[:mid], b_list[:mid], width)
-        right = analyze_segments(a_list[mid:], b_list[mid:], width)
+        cut_a, cut_b = int(na[:mid].sum()), int(nb[:mid].sum())
+        left = analyze_flat(A[:cut_a], na[:mid], B[:cut_b], nb[:mid], width)
+        right = analyze_flat(A[cut_a:], na[mid:], B[cut_b:], nb[mid:],
+                             width)
         return tuple(np.concatenate((lo, hi))
                      for lo, hi in zip(left, right))
 
@@ -156,12 +166,13 @@ class ColumnarTrace:
     Scalar accounting (:meth:`add_scalar` and friends), burst ids, and
     :meth:`freeze` behave exactly like :class:`Trace`; the per-op entry
     point is :meth:`add_op_keys`, which captures operand *arrays*
-    instead of pre-computed :class:`~repro.streams.runstats.OpStats`.
+    instead of pre-computed :class:`~repro.streams.runstats.OpStats`,
+    and :meth:`add_ops` records a block of ops given as flat arrays.
     """
 
     __slots__ = ("name", "shared_scalar_instrs", "cpu_only_scalar_instrs",
                  "sc_only_scalar_instrs", "_next_burst", "_frozen",
-                 "_width", "_compact_elems", "_pending", "_append_pending",
+                 "_width", "compact_elems", "_pending", "_append_pending",
                  "_pending_elems", "_segments", "_n_ops", "_log")
 
     def __init__(self, name: str = "trace", *,
@@ -177,7 +188,9 @@ class ColumnarTrace:
         self._next_burst = 0
         self._frozen: FrozenTrace | None = None
         self._width = width
-        self._compact_elems = compact_elems
+        #: pending operand keys that trigger a compaction; bulk callers
+        #: size their :meth:`add_ops` blocks by it too
+        self.compact_elems = compact_elems
         #: deferred ops: (kind, a_eff, b_eff, burst, nested, mem,
         #: flop_pairs)
         self._pending: list[tuple] = []
@@ -218,8 +231,44 @@ class ColumnarTrace:
                               flop_pairs))
         self._n_ops += 1
         self._pending_elems += a_eff.size + b_eff.size
-        if self._pending_elems >= self._compact_elems:
+        if self._pending_elems >= self.compact_elems:
             self._compact()
+
+    def add_ops(self, kind: OpKind, a_keys: np.ndarray,
+                a_sizes: np.ndarray, b_keys: np.ndarray,
+                b_sizes: np.ndarray, flop_pairs: np.ndarray, *,
+                mem: np.ndarray, mem_counts: np.ndarray,
+                burst: int = NO_BURST, nested: bool = False) -> None:
+        """Record ``len(a_sizes)`` ops of one kind at once, analysed on
+        the spot.
+
+        Op ``i`` takes the next ``a_sizes[i]`` keys of ``a_keys`` and
+        ``b_sizes[i]`` of ``b_keys`` (effective keys, end to end), makes
+        ``flop_pairs[i]`` flop pairs and is charged for the next
+        ``mem_counts[i]`` access-log rows of ``mem``, in the order its
+        charge sums them.  The ops pending from
+        :meth:`add_op_keys` are analysed first, so the block lands after
+        them, and the frozen trace is the one an :meth:`add_op_keys`
+        call per op would give.
+        """
+        n = a_sizes.size
+        if not n:
+            return
+        self._compact()
+        self._frozen = None
+        if self._log is not None:
+            charges = self._log.charge_rows(mem, mem_counts)
+        elif mem.size:
+            raise ValueError("memory charges need an access log")
+        else:
+            charges = np.zeros(n), np.zeros(n)
+        self._add_segment(
+            np.full(n, kind, dtype=np.int8), analyze_flat(
+                a_keys, a_sizes.astype(np.int64, copy=False), b_keys,
+                b_sizes.astype(np.int64, copy=False), self._width),
+            flop_pairs.astype(np.int64), np.full(n, burst, dtype=np.int64),
+            np.full(n, nested, dtype=bool), charges)
+        self._n_ops += n
 
     def add_scalar(self, n: int) -> None:
         """Scalar instructions both machines execute (app logic)."""
@@ -241,18 +290,26 @@ class ColumnarTrace:
         if not pend:
             return
         kind_l, a_l, b_l, burst_l, nested_l, mem_l, flop_l = zip(*pend)
-        kind = np.array(kind_l, dtype=np.int8)
-        burst = np.array(burst_l, dtype=np.int64)
-        nested = np.array(nested_l, dtype=bool)
         if self._log is None:
             if any(mem_l):
                 raise ValueError("memory charges need an access log")
-            cpu_mem, sc_mem = np.zeros(len(pend)), np.zeros(len(pend))
+            charges = np.zeros(len(pend)), np.zeros(len(pend))
         else:
-            cpu_mem, sc_mem = self._log.charges(mem_l)
-        flop_pairs = np.array(flop_l, dtype=np.int64)
-        eff_a, eff_b, n_union, n_matches, n_runs, su_int, su_sub = \
-            analyze_segments(a_l, b_l, self._width)
+            charges = self._log.charges(mem_l)
+        self._add_segment(
+            np.array(kind_l, dtype=np.int8),
+            analyze_segments(a_l, b_l, self._width),
+            np.array(flop_l, dtype=np.int64),
+            np.array(burst_l, dtype=np.int64),
+            np.array(nested_l, dtype=bool), charges)
+        self._pending = []
+        self._append_pending = self._pending.append
+        self._pending_elems = 0
+
+    def _add_segment(self, kind, stats, flop_pairs, burst, nested,
+                     charges) -> None:
+        """Append analysed ops as one segment of frozen columns."""
+        eff_a, eff_b, n_union, n_matches, n_runs, su_int, su_sub = stats
         # Kind dispatch, vectorised (cf. Trace.add_op): INTERSECT/VINTER
         # emit one match per cycle, SUBTRACT/MERGE/VMERGE at window rate.
         is_inter = (kind == 0) | (kind == 3)
@@ -261,12 +318,8 @@ class ColumnarTrace:
                            np.where(kind == 1, eff_a - n_matches, n_union))
         self._segments.append((
             kind, su_cycles, n_union, np.maximum(n_runs - 1, 0),
-            eff_a + eff_b, out_len, flop_pairs, burst, nested,
-            cpu_mem, sc_mem,
+            eff_a + eff_b, out_len, flop_pairs, burst, nested, *charges,
         ))
-        self._pending = []
-        self._append_pending = self._pending.append
-        self._pending_elems = 0
 
     # -- introspection -----------------------------------------------------
 
@@ -310,4 +363,5 @@ class ColumnarTrace:
         return f"ColumnarTrace({self.name!r}, ops={self.num_ops})"
 
 
-__all__ = ["COMPACT_ELEMS", "ColumnarTrace", "analyze_segments"]
+__all__ = ["COMPACT_ELEMS", "ColumnarTrace", "analyze_flat",
+           "analyze_segments"]

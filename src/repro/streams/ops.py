@@ -26,7 +26,6 @@ from repro.streams.runstats import UNBOUNDED, truncate_bound
 
 __all__ = [
     "UNBOUNDED",
-    "StreamBatch",
     "intersect",
     "intersect_count",
     "subtract",
@@ -34,7 +33,8 @@ __all__ = [
     "merge",
     "merge_count",
     "vinter",
-    "vinter_mac_sweep",
+    "vinter_mac_cross",
+    "repeat_streams",
     "vmerge",
     "ValueOp",
 ]
@@ -171,65 +171,76 @@ def vinter(
     return float(np.sum(combined))
 
 
-class StreamBatch:
-    """Many (key,value) streams concatenated once, so that
-    :func:`vinter_mac_sweep` can sweep them against many streams without
-    rebuilding the arrays: the keys and values end to end, each
-    stream's size, and the stream each key belongs to."""
-
-    __slots__ = ("keys", "vals", "sizes", "owner")
-
-    def __init__(self, keys: list[np.ndarray], vals: list[np.ndarray]):
-        n = len(keys)
-        self.sizes = np.fromiter((k.size for k in keys), dtype=np.int64,
-                                 count=n)
-        self.keys = (np.concatenate(keys) if n
-                     else np.empty(0, dtype=np.int64))
-        self.vals = (np.concatenate(vals) if n
-                     else np.empty(0, dtype=np.float64))
-        self.owner = np.repeat(np.arange(n), self.sizes)
-
-    def __len__(self) -> int:
-        return int(self.sizes.size)
+def repeat_streams(sizes: np.ndarray, times: int) -> np.ndarray:
+    """Indices that repeat each of ``len(sizes)`` streams held end to
+    end (stream ``i`` is the next ``sizes[i]`` elements) ``times`` times
+    before the next: ``x[repeat_streams(sizes, t)]`` holds stream 0
+    ``t`` times, then stream 1 ``t`` times, and so on."""
+    out = np.repeat(sizes, times)
+    skip = np.cumsum(out) - out - np.repeat(np.cumsum(sizes) - sizes, times)
+    return np.arange(int(out.sum()), dtype=np.int64) - np.repeat(skip, out)
 
 
-def vinter_mac_sweep(
+def vinter_mac_cross(
     a_keys: np.ndarray,
     a_vals: np.ndarray,
-    batch: StreamBatch,
+    a_sizes: np.ndarray,
+    b_keys: np.ndarray,
+    b_vals: np.ndarray,
+    b_sizes: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Unbounded MAC ``S_VINTER`` of one stream against each of many.
+    """Unbounded MAC ``S_VINTER`` of every ``a`` stream against every
+    ``b`` stream.
 
-    Returns the match count and the value of
-    ``vinter(a_keys, a_vals, b_keys[j], b_vals[j], "MAC")`` for every
-    stream ``j`` of ``batch``, bit for bit.  One ``searchsorted`` pass
-    over the concatenated ``b`` operands finds every match; each pair's
-    products then sit contiguously in key order, as ``vinter`` forms
-    them.  Pairs with the same match count are summed together as the
-    rows of one C-contiguous block along ``axis=1``, which reduces each
-    row exactly as ``np.sum`` reduces it alone.  (``np.add.reduceat``
-    does not: its segment sums differ from ``np.sum`` in the last bits
-    on most segments of three or more elements.)
+    ``a_keys``/``a_vals`` hold ``len(a_sizes)`` streams end to end
+    (stream ``i`` is the next ``a_sizes[i]`` pairs), and ``b_*`` hold
+    ``len(b_sizes)``.  Returns the match counts and the values as two
+    ``len(a_sizes) x len(b_sizes)`` arrays: entry ``(i, j)`` is
+    ``vinter(a_i keys, a_i vals, b_j keys, b_j vals, "MAC")``, bit for
+    bit.  Stream ``j`` of ``b`` is shifted into its own key range, so
+    ``b``'s keys increase across the batch, and every key of every
+    ``a`` stream, shifted into each range in turn, finds its match with
+    one ``searchsorted``; shifts that would overflow int64 split ``b``
+    in halves.  Each pair's products then sit contiguously in ``a``'s
+    key order, as ``vinter`` forms them.  Pairs with the same match
+    count are summed together as the rows of one C-contiguous block
+    along ``axis=1``, which reduces each row exactly as ``np.sum``
+    reduces it alone.  (``np.add.reduceat`` does not: its segment sums
+    differ from ``np.sum`` in the last bits on most segments of three
+    or more elements.)
     """
-    n = len(batch)
-    counts = np.zeros(n, dtype=np.int64)
-    values = np.zeros(n, dtype=np.float64)
-    if n == 0 or a_keys.size == 0:
-        return counts, values
-    keys = batch.keys
-    pos = np.searchsorted(a_keys, keys)
-    hit = pos < a_keys.size
-    hit[hit] = a_keys[pos[hit]] == keys[hit]
-    counts = np.bincount(batch.owner[hit], minlength=n)
-    if not hit.any():
-        return counts, values
-    products = a_vals[pos[hit]] * batch.vals[hit]
+    r, s = a_sizes.size, b_sizes.size
+    counts = np.zeros(r * s, dtype=np.int64)
+    values = np.zeros(r * s, dtype=np.float64)
+    if not (a_keys.size and b_keys.size):
+        return counts.reshape(r, s), values.reshape(r, s)
+    lo = min(int(a_keys.min()), int(b_keys.min()))
+    span = max(int(a_keys.max()), int(b_keys.max())) - lo + 1
+    if s > 1 and span > (2 ** 62) // s:
+        mid = s // 2
+        cut = int(b_sizes[:mid].sum())
+        halves = (vinter_mac_cross(a_keys, a_vals, a_sizes, b_keys[:cut],
+                                   b_vals[:cut], b_sizes[:mid]),
+                  vinter_mac_cross(a_keys, a_vals, a_sizes, b_keys[cut:],
+                                   b_vals[cut:], b_sizes[mid:]))
+        return tuple(np.hstack(pair) for pair in zip(*halves))
+    shifts = np.arange(s, dtype=np.int64) * span - lo
+    b_shifted = b_keys + np.repeat(shifts, b_sizes)
+    # Pair (i, j), row-major, probes with a_i's keys shifted by j's shift.
+    sizes = np.repeat(a_sizes, s)
+    idx = repeat_streams(a_sizes, s)
+    probe = a_keys[idx] + np.repeat(np.tile(shifts, r), sizes)
+    pos = np.searchsorted(b_shifted, probe)
+    hit = b_shifted.take(pos, mode="clip") == probe
+    counts = np.bincount(np.repeat(np.arange(r * s), sizes)[hit],
+                         minlength=r * s)
+    products = a_vals[idx[hit]] * b_vals[pos[hit]]
     starts = np.cumsum(counts) - counts
     for count in np.unique(counts[counts > 0]).tolist():
         pairs = np.flatnonzero(counts == count)
         block = products[starts[pairs, None] + np.arange(count)]
         values[pairs] = block.sum(axis=1)
-    return counts, values
+    return counts.reshape(r, s), values.reshape(r, s)
 
 
 def vmerge(

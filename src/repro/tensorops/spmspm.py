@@ -39,31 +39,28 @@ def spmspm_inner(a: SparseMatrix, b: SparseMatrix,
                  machine: Machine | None = None) -> SparseMatrix:
     """Inner-product dataflow (one ``S_VINTER`` per output candidate).
 
-    Each row of A sweeps every non-empty column of B in one
-    :meth:`~repro.machine.context.Machine.vinter_sweep` call; the
-    columns are prepared for it once."""
+    Every non-empty row of A sweeps every non-empty column of B: the
+    whole cross product is one
+    :meth:`~repro.machine.context.Machine.vinter_sweep` call over the
+    rows and columns, each prepared once, and C is built from the
+    matrix of values it returns."""
     machine = machine or Machine(name="spmspm-inner")
     bt = b.transpose()  # CSC view of B; format conversion is input prep
-    # The non-empty columns of B, swept by every row of A.
+    row_ids = np.flatnonzero(np.diff(a.indptr))
     col_ids = np.flatnonzero(np.diff(bt.indptr))
+    # A's rows are the pinned operands (scratchpad priority).
+    a_rows = machine.sweep_streams(
+        [a.row_keys(i) for i in row_ids], [a.row_vals(i) for i in row_ids],
+        [("arow", id(a), i) for i in row_ids.tolist()], priority=1)
     columns = machine.sweep_streams(
         [bt.row_keys(j) for j in col_ids], [bt.row_vals(j) for j in col_ids],
         [("bcol", id(b), j) for j in col_ids.tolist()])
-    rows, cols, vals = [], [], []
-    for i in range(a.shape[0]):
-        if a.row_nnz(i) == 0:
-            continue
-        a_row = machine.load_values(
-            a.row_keys(i), a.row_vals(i), ("arow", id(a), i), priority=1)
-        machine.scalar(LOOP_INSTRS)
-        values = machine.vinter_sweep(a_row, columns)
-        machine.scalar(LOOP_INSTRS * len(columns))
-        nz = np.flatnonzero(values)
-        rows.extend([i] * nz.size)
-        cols.extend(col_ids[nz].tolist())
-        vals.extend(values[nz].tolist())
-    return SparseMatrix.from_coo(
-        (a.shape[0], b.shape[1]), rows, cols, vals, name="C")
+    values = machine.vinter_sweep(a_rows, columns)
+    # Per row: its loop iteration, then one per column.
+    machine.scalar(LOOP_INSTRS * row_ids.size * (1 + col_ids.size))
+    i, j = np.nonzero(values)
+    return SparseMatrix.from_coo((a.shape[0], b.shape[1]), row_ids[i],
+                                 col_ids[j], values[i, j], name="C")
 
 
 def _rows_from_accumulators(shape, accs: dict[int, StreamOperand],

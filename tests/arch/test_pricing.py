@@ -234,8 +234,8 @@ class TestChargeOrder:
 
     def test_vinter_sweep(self):
         m = Machine()
-        a = m.load_values(*_A, ("a", 0))
-        m.vinter_sweep(a, m.sweep_streams([_B[0]], [_B[1]], [("b", 0)]))
+        m.vinter_sweep(m.sweep_streams([_A[0]], [_A[1]], [("a", 0)]),
+                       m.sweep_streams([_B[0]], [_B[1]], [("b", 0)]))
         _assert_charged(m, m.freeze(), _GATHERS_FIRST,
                         [_LOADS_FIRST, (0, 2, 3, 1), (2, 0, 3, 1)])
 

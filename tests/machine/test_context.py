@@ -1,5 +1,7 @@
 """Tests for the recording machine context."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from repro.errors import StreamTypeFault
 from repro.graph import CSRGraph
 from repro.machine import Machine, StreamOperand
 from repro.obs.probe import Probe
+from repro.record.columnar import COMPACT_ELEMS, ColumnarTrace
 
 
 def keys(*xs):
@@ -227,43 +230,62 @@ class TestProbedFreeze:
 # -- vinter_sweep against the per-op loop ---------------------------------
 
 
-def _per_op_sweep(machine, a, keys, vals, granules, priority=0):
-    """The reference: one ``load_values`` and one ``vinter`` per pair."""
-    return np.array([
-        machine.vinter(a, machine.load_values(k, v, g, priority), "MAC")
-        for k, v, g in zip(keys, vals, granules)], dtype=np.float64)
+def _per_op_sweep(machine, rows, sweep):
+    """The reference: one ``load_values`` per row, then one
+    ``load_values`` and one ``vinter`` per pair."""
+    out = np.zeros((len(rows), len(sweep)))
+    for i, (a_keys, a_vals, a_granule) in enumerate(zip(
+            rows.keys, rows.vals, rows.granules)):
+        a = machine.load_values(a_keys, a_vals, a_granule, rows.priority)
+        for j, (b_keys, b_vals, b_granule) in enumerate(zip(
+                sweep.keys, sweep.vals, sweep.granules)):
+            b = machine.load_values(b_keys, b_vals, b_granule,
+                                    sweep.priority)
+            out[i, j] = machine.vinter(a, b, "MAC")
+    return out
 
 
-def _sweep(machine, a, keys, vals, granules, priority=0):
-    return machine.vinter_sweep(
-        a, machine.sweep_streams(keys, vals, granules, priority))
+def _sweep(machine, rows, sweep):
+    return machine.vinter_sweep(rows, sweep)
 
 
-def _run_plan(plan, sweep, probe=None):
+def _streams(machine, streams, priority):
+    """Prepare ``streams`` (``(keys, vals, granule)`` each)."""
+    return machine.sweep_streams([k for k, _, _ in streams],
+                                 [v for _, v, _ in streams],
+                                 [g for _, _, g in streams], priority)
+
+
+def _run_plan(plan, sweep, probe=None, compact_elems=COMPACT_ELEMS,
+              recorder=ColumnarTrace):
     """Run every sweep of ``plan`` on a fresh machine through ``sweep``.
 
-    A plan step is ``(a, reuse_a, operands, priority)``: ``a`` is
-    ``(keys, vals, granule)``, loaded from memory when ``granule`` is
-    set (so it carries a pending charge) and an on-chip intermediate
-    otherwise; ``reuse_a`` sweeps the previous step's operand again."""
-    machine = Machine(name="sweep", record_lengths=True, probe=probe)
-    outputs, a = [], None
-    for (a_keys, a_vals, a_granule), reuse_a, operands, priority in plan:
-        if a is None or not reuse_a:
-            a = (StreamOperand(a_keys, a_vals) if a_granule is None
-                 else machine.load_values(a_keys, a_vals, a_granule))
-        b_keys = [k for k, _, _ in operands]
-        b_vals = [v for _, v, _ in operands]
-        granules = [g for _, _, g in operands]
-        outputs.append(sweep(machine, a, b_keys, b_vals, granules, priority))
+    A plan step is ``(rows, row_priority, operands, priority)``; rows
+    and operands are ``(keys, vals, granule)`` streams, loaded from
+    memory when ``granule`` is set.  After each step one per-op
+    ``vinter`` is recorded, so a sweep also follows pending per-op
+    records.  The machine records into a ``recorder`` that compacts
+    every ``compact_elems`` operand keys, which also bounds the sweep's
+    blocks."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("repro.machine.context.ColumnarTrace",
+                   partial(recorder, compact_elems=compact_elems))
+        machine = Machine(name="sweep", record_lengths=True, probe=probe)
+    outputs = []
+    for step, (rows, row_priority, operands, priority) in enumerate(plan):
+        outputs.append(sweep(machine, _streams(machine, rows, row_priority),
+                             _streams(machine, operands, priority)))
+        machine.vinter(
+            machine.load_values(keys(1, 2, 5), np.ones(3), ("c", step)),
+            StreamOperand(keys(2, 5), np.full(2, 0.5)))
     return machine, outputs
 
 
-def _assert_same_recording(plan, probes=(None, None)):
-    got, got_out = _run_plan(plan, _sweep, probes[0])
-    want, want_out = _run_plan(plan, _per_op_sweep, probes[1])
+def _assert_same_recording(plan, probes=(None, None), **kwargs):
+    got, got_out = _run_plan(plan, _sweep, probes[0], **kwargs)
+    want, want_out = _run_plan(plan, _per_op_sweep, probes[1], **kwargs)
     for out, ref in zip(got_out, want_out):
-        assert out.dtype == ref.dtype
+        assert out.dtype == ref.dtype and out.shape == ref.shape
         assert out.tobytes() == ref.tobytes()
     trace, ref_trace = got.freeze(), want.freeze()
     for field in _ARRAY_FIELDS:
@@ -275,14 +297,18 @@ def _assert_same_recording(plan, probes=(None, None)):
     assert got.length_samples == want.length_samples
     # The same rows leave every memory level in the same state.
     assert got.transfer.rows() == want.transfer.rows()
+    if probes[0] is not None:
+        assert probes[0].counters.flat() == probes[1].counters.flat()
+        assert probes[0].tracer.events == probes[1].tracer.events
+        assert probes[0].tracer.dropped == probes[1].tracer.dropped
     return got, want
 
 
-def _stream(rng, universe, density):
+def _stream(rng, universe, density, granule):
     keys = np.flatnonzero(rng.random(universe) < density).astype(np.int64)
     vals = rng.standard_normal(keys.size) * 10.0 ** rng.integers(-3, 4)
     vals[rng.random(keys.size) < 0.1] = 0.0
-    return keys, vals
+    return keys, vals, granule
 
 
 #: Key universes: 3000 dense keys are 24,000 bytes, more than the
@@ -290,109 +316,150 @@ def _stream(rng, universe, density):
 #: block sizes of numpy's pairwise summation).
 _UNIVERSES = (1, 6, 40, 300, 3000)
 _DENSITIES = (0.0, 0.05, 0.5, 1.0)
+#: Rows share granules, at different sizes, as TTM's fibers share a
+#: ``csf-chunk``.
+_ROW_GRANULES = (None, ("a", 0), ("a", 1))
 _GRANULES = (None, ("b", 0), ("b", 1), ("b", 2), ("b", 3))
+#: Block bounds: one row per block, a few rows, one block.
+_COMPACT = (1, 60, COMPACT_ELEMS)
 
 
 @st.composite
 def _plans(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     universe = draw(st.sampled_from(_UNIVERSES))
-    plan = []
-    for step in range(draw(st.integers(1, 3))):
-        a = (*_stream(rng, universe, draw(st.sampled_from(_DENSITIES))),
-             draw(st.sampled_from((None, ("a", 0), ("a", step)))))
-        operands = [
-            (*_stream(rng, universe, draw(st.sampled_from(_DENSITIES))),
-             draw(st.sampled_from(_GRANULES)))
-            for _ in range(draw(st.integers(0, 5)))]
-        plan.append((a, step > 0 and draw(st.booleans()), operands,
-                     draw(st.sampled_from((0, 1)))))
-    return plan
+
+    def streams(granules, most):
+        return [_stream(rng, universe, draw(st.sampled_from(_DENSITIES)),
+                        draw(st.sampled_from(granules)))
+                for _ in range(draw(st.integers(0, most)))]
+
+    return [(streams(_ROW_GRANULES, 4), draw(st.sampled_from((0, 1))),
+             streams(_GRANULES, 5), draw(st.sampled_from((0, 1))))
+            for _ in range(draw(st.integers(1, 3)))]
 
 
-def _plan(seed, universe, a_density, b_densities, *, a_granule=("a", 0),
-          priority=0, steps=1):
+def _plan(seed, universe, row_densities, b_densities, *,
+          row_granule=("a", 0), row_priority=0, priority=0, steps=1):
     rng = np.random.default_rng(seed)
-    plan = []
-    for step in range(steps):
-        a = (*_stream(rng, universe, a_density), a_granule)
-        operands = [(*_stream(rng, universe, d), ("b", j))
-                    for j, d in enumerate(b_densities)]
-        plan.append((a, step > 0, operands, priority))
-    return plan
+    return [([_stream(rng, universe, d, row_granule) for d in row_densities],
+             row_priority,
+             [_stream(rng, universe, d, ("b", j))
+              for j, d in enumerate(b_densities)], priority)
+            for _ in range(steps)]
 
 
 class TestVinterSweep:
     """``vinter_sweep`` records exactly what the per-op loop records."""
 
     @settings(max_examples=60, deadline=None)
-    @given(plan=_plans())
-    def test_matches_per_op_loop(self, plan):
-        _assert_same_recording(plan)
+    @given(plan=_plans(), compact_elems=st.sampled_from(_COMPACT))
+    def test_matches_per_op_loop(self, plan, compact_elems):
+        _assert_same_recording(plan, compact_elems=compact_elems)
 
     @pytest.mark.parametrize("case", [
-        dict(),                                     # a with a pending charge
-        dict(a_granule=None),                       # a without vgranule
-        dict(steps=3),                              # a reused, no pending
-        dict(a_density=0.0),                        # empty a
+        dict(),                                     # rows with a granule
+        dict(row_granule=None),                     # rows without one
+        dict(steps=3),                              # rows swept again
+        dict(row_densities=(0.0, 0.5)),             # an empty row
         dict(b_densities=(0.0, 0.0, 1.0)),          # zero-length operands
         dict(universe=3000, priority=1),            # > scratchpad
-        dict(priority=1, steps=2),
+        dict(row_priority=1, priority=1, steps=2),
+        dict(universe=3000, row_priority=1),        # > scratchpad, rows
+        dict(row_densities=()),                     # no rows
+        dict(b_densities=()),                       # an empty sweep
     ])
     def test_edge_cases(self, case):
-        args = {"seed": 7, "universe": 40, "a_density": 0.5,
+        args = {"seed": 7, "universe": 40, "row_densities": (0.5, 0.05, 1.0),
                 "b_densities": (0.5, 0.05, 1.0, 0.0)}
         _assert_same_recording(_plan(**{**args, **case}))
 
     def test_covers_pairwise_summation_blocks(self):
-        plan = _plan(7, 3000, 0.5, (0.5, 0.05, 0.005, 1.0))
+        plan = _plan(7, 3000, (0.5, 1.0), (0.5, 0.05, 0.005, 1.0))
         got, _ = _assert_same_recording(plan)
         matches = got.trace.freeze().flop_pairs
         assert matches.max() >= 128
         assert ((matches >= 8) & (matches < 128)).any()
 
     def test_zero_matches(self):
-        a = (keys(1, 3), np.array([2.0, 3.0]), ("a", 0))
+        rows = [(keys(1, 3), np.array([2.0, 3.0]), ("a", 0))]
         operands = [(keys(0, 2, 4), np.ones(3), ("b", j)) for j in range(3)]
-        got, _ = _assert_same_recording([(a, False, operands, 1)])
-        assert got.trace.freeze().flop_pairs.tolist() == [0, 0, 0]
+        got, _ = _assert_same_recording([(rows, 0, operands, 1)])
+        assert got.trace.freeze().flop_pairs.tolist()[:3] == [0, 0, 0]
+
+    @pytest.mark.parametrize("compact_elems,blocks", [
+        (1, [1] * 7), (63, [2, 3, 2]), (COMPACT_ELEMS, [7])])
+    def test_blocks_split_at_whole_rows(self, compact_elems, blocks):
+        # Each full row's ops hold 3 * 6 + 9 keys, the empty row's 9:
+        # 63 keys fit rows 2 to 4 exactly.
+        plan = _plan(3, 6, (1.0,) * 7, (0.5, 1.0, 0.0))
+        plan[0][0][3] = _stream(np.random.default_rng(1), 6, 0.0, None)
+        assert sum(k.size for k, _, _ in plan[0][2]) == 9
+        got, _ = _assert_same_recording(plan, compact_elems=compact_elems)
+        assert got.trace.num_ops == 7 * 3 + 1
+        seen = []
+
+        class Blocks(ColumnarTrace):
+            __slots__ = ()
+
+            def add_ops(self, kind, a_keys, a_sizes, *args, **kwargs):
+                seen.append(a_sizes.size // 3)
+                super().add_ops(kind, a_keys, a_sizes, *args, **kwargs)
+
+        _run_plan(plan, _sweep, compact_elems=compact_elems, recorder=Blocks)
+        assert seen == blocks
 
     def test_empty_sweep_leaves_pending_charge(self):
+        # Each row's load is logged; no op takes its charge.
         m = Machine()
-        a = m.load_values(keys(1, 3), np.ones(2), ("a", 0))
-        pending = a.pending
-        assert _sweep(m, a, [], [], []).size == 0
-        assert a.pending == pending == 0
-        _sweep(m, a, [keys(2), keys(4)], [np.ones(1)] * 2, [None, None])
-        cpu = m.transfer.cost(pending).cpu_cycles
-        assert m.trace.freeze().cpu_mem.tolist() == [cpu, 0.0]
-        assert cpu > 0 and a.pending is None
+        rows = m.sweep_streams([keys(1, 3), keys(2)], [np.ones(2)] * 2,
+                               [("a", 0), ("a", 1)])
+        out = m.vinter_sweep(rows, m.sweep_streams([], [], []))
+        assert out.shape == (2, 0)
+        assert m.trace.num_ops == 0
+        assert [g for g, _, _ in m.transfer.rows()] == [("a", 0), ("a", 1)]
+        m.vinter_sweep(rows, m.sweep_streams([keys(2), keys(4)],
+                                             [np.ones(1)] * 2, [None, None]))
+        cpu = m.transfer.cost(2).cpu_cycles
+        assert m.trace.freeze().cpu_mem.tolist()[:2] == [cpu, 0.0]
 
     def test_collecting_probe(self):
         probes = (Probe.collecting(), Probe.collecting())
-        _assert_same_recording(_plan(5, 300, 0.5, (0.5, 0.0, 1.0),
-                                     priority=1, steps=2), probes)
-        assert probes[0].counters.flat() == probes[1].counters.flat()
-        assert probes[0].counters.get("machine.ops.vinter") == 6
-        assert probes[0].tracer.events == probes[1].tracer.events
+        _assert_same_recording(_plan(5, 300, (0.5, 0.0, 1.0), (0.5, 0.0, 1.0),
+                                     priority=1, steps=2), probes,
+                               compact_elems=700)
+        assert probes[0].counters.get("machine.ops.vinter") == 2 * (9 + 1)
+        cats = [e.cat for e in probes[0].tracer.events]
+        assert cats.count("fetch") == 2 * (3 + 3 * 3 + 1)
+
+    @settings(max_examples=15, deadline=None)
+    @given(plan=_plans(), compact_elems=st.sampled_from(_COMPACT))
+    def test_generated_under_a_probe(self, plan, compact_elems):
+        _assert_same_recording(plan, (Probe.collecting(max_events=300),
+                                      Probe.collecting(max_events=300)),
+                               compact_elems=compact_elems)
 
     def test_values_and_counts(self):
         m = Machine()
-        a = m.load_values(keys(1, 3, 7), np.array([45.0, 21.0, 13.0]))
-        out = _sweep(
-            m, a, [keys(2, 5, 7), keys(), keys(1, 3)],
+        rows = m.sweep_streams(
+            [keys(1, 3, 7), keys(2)], [np.array([45.0, 21.0, 13.0]),
+                                       np.array([4.0])], [None, ("a", 0)])
+        out = m.vinter_sweep(rows, m.sweep_streams(
+            [keys(2, 5, 7), keys(), keys(1, 3)],
             [np.array([14.0, 36.0, 2.0]), np.empty(0), np.array([1.0, 2.0])],
-            [("b", 0), ("b", 1), ("b", 2)])
-        assert out.tolist() == [26.0, 0.0, 87.0]
-        assert m.trace.freeze().flop_pairs.tolist() == [1, 0, 2]
+            [("b", 0), ("b", 1), ("b", 2)]))
+        assert out.tolist() == [[26.0, 0.0, 87.0], [56.0, 0.0, 0.0]]
+        assert m.trace.freeze().flop_pairs.tolist() == [1, 0, 2, 1, 0, 0]
 
     def test_requires_values(self):
         m = Machine()
         with pytest.raises(StreamTypeFault):
-            _sweep(m, m.load(keys(1)), [keys(1)], [np.ones(1)], [("b", 0)])
+            m.sweep_streams([keys(1)], [None], [("b", 0)])
 
     def test_sweep_of_another_machine(self):
         m, other = Machine(), Machine()
-        sweep = other.sweep_streams([keys(1)], [np.ones(1)], [("b", 0)])
-        with pytest.raises(ValueError):
-            m.vinter_sweep(m.load_values(keys(1), np.ones(1)), sweep)
+        mine = m.sweep_streams([keys(1)], [np.ones(1)], [("b", 0)])
+        theirs = other.sweep_streams([keys(1)], [np.ones(1)], [("b", 0)])
+        for rows, sweep in ((mine, theirs), (theirs, mine)):
+            with pytest.raises(ValueError):
+                m.vinter_sweep(rows, sweep)

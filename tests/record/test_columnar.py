@@ -1,12 +1,14 @@
 """The recorder: batch analyser parity, trace unit tests, and pricing.
 
 The contract under test is exact equivalence with the per-op
-reference: ``analyze_segments`` must reproduce ``analyze_pair``
-value-for-value over arbitrary op batches (including the degenerate
-shapes the batch offset trick has to survive — empty operands, negative
-keys, huge key ranges), a ``ColumnarTrace`` fed the same op sequence as
-a ``Trace`` must freeze to a byte-identical payload, and every cost
-model must price a live ``ColumnarTrace`` exactly as its frozen copy.
+reference: ``analyze_segments`` and its flat form ``analyze_flat`` must
+reproduce ``analyze_pair`` value-for-value over arbitrary op batches
+(including the degenerate shapes the batch offset trick has to survive
+— empty operands, negative keys, huge key ranges), a ``ColumnarTrace``
+fed the same op sequence as a ``Trace`` must freeze to a byte-identical
+payload, blocks recorded with ``add_ops`` must freeze to the trace one
+``add_op_keys`` per op gives, and every cost model must price a live
+``ColumnarTrace`` exactly as its frozen copy.
 """
 
 import io
@@ -23,7 +25,8 @@ from repro.arch.sparsecore import SparseCoreModel
 from repro.arch.trace import OpKind, Trace
 from repro.arch.transfer import TransferModel
 from repro.obs.attribution import attribute
-from repro.record.columnar import ColumnarTrace, analyze_segments
+from repro.record.columnar import (COMPACT_ELEMS, ColumnarTrace,
+                                   analyze_flat, analyze_segments)
 from repro.streams.runstats import (SU_BUFFER_WIDTH, UNBOUNDED,
                                     analyze_pair, truncate_bound)
 
@@ -80,6 +83,23 @@ class TestAnalyzeSegments:
         big = np.array([0, 2 ** 61], dtype=np.int64)
         ops = [(big, big[:1], UNBOUNDED) for _ in range(8)]
         _assert_matches_analyze_pair(ops, SU_BUFFER_WIDTH)
+
+    def test_huge_key_range_recursion_flat(self):
+        # The flat form splits its operand arrays between the halves.
+        rng = np.random.default_rng(5)
+        ops = [(a, b, UNBOUNDED) for a, b, _ in _random_ops(rng, 9)]
+        ops[4] = (np.array([3, 2 ** 61], dtype=np.int64), ops[4][1],
+                  UNBOUNDED)
+        a_list, b_list = [a for a, _, _ in ops], [b for _, b, _ in ops]
+        cols = analyze_flat(
+            np.concatenate(a_list), np.array([a.size for a in a_list]),
+            np.concatenate(b_list), np.array([b.size for b in b_list]))
+        for i, (a, b, _) in enumerate(ops):
+            stats = analyze_pair(a, b)
+            assert [int(c[i]) for c in cols] == [
+                stats.eff_a, stats.eff_b, stats.n_union, stats.n_matches,
+                stats.n_runs, stats.su_cycles_intersect,
+                stats.su_cycles_submerge], i
 
     def test_empty_batch(self):
         cols = analyze_segments([], [])
@@ -193,6 +213,105 @@ class TestColumnarTrace:
         cols = ColumnarTrace("t")
         assert cols.new_burst() == 1
         assert cols.new_burst() == 2
+
+
+def _block_ops(seed, runs):
+    """Generated ops over effective keys for ``runs`` (``(as_block,
+    count)`` each), one ``(kind, a, b, op)`` each: ``op`` holds the
+    op's flop pairs and its run's burst and nesting, and a run's ops
+    share one kind."""
+    rng = np.random.default_rng(seed)
+    ops = []
+    for k, (_, count) in enumerate(runs):
+        ops += [(OpKind(k % 5), truncate_bound(a, bound),
+                 truncate_bound(b, bound),
+                 {"burst": k % 4 - 1, "nested": k % 3 == 0,
+                  "flop_pairs": len(ops) % 7})
+                for a, b, bound in _random_ops(rng, count)]
+    empty = np.empty(0, dtype=np.int64)
+    for i, (a, b) in ((6, (empty, ops[6][2])), (7, (empty, empty))):
+        ops[i] = (ops[i][0], a, b, ops[i][3])
+    return ops
+
+
+def _record_runs(ops, runs, compact_elems, *, bulk):
+    """Record ``ops`` in ``runs``: with ``bulk``, a run ``as_block`` is
+    one ``add_ops`` call, its log rows appended first; every other op is
+    one ``add_op_keys`` call."""
+    log = TransferModel()
+    trace = ColumnarTrace("t", log=log, compact_elems=compact_elems)
+    i = 0
+    for as_block, count in runs:
+        run = ops[i:i + count]
+        mems = [_log_rows(log, k) for k in range(i, i + count)]
+        i += count
+        if not (bulk and as_block):
+            for (kind, a, b, op), mem in zip(run, mems):
+                trace.add_op_keys(kind, a, b, mem=mem, **op)
+            continue
+        if not run:
+            empty = np.empty(0, dtype=np.int64)
+            trace.add_ops(OpKind.MERGE, empty, empty, empty, empty, empty,
+                          mem=empty, mem_counts=empty)
+            continue
+        sides = [[op[side] for op in run] for side in (1, 2)]
+        kind, _, _, op = run[0]
+        trace.add_ops(
+            kind, *(x for side in sides for x in (
+                np.concatenate(side),
+                np.array([keys.size for keys in side], dtype=np.int64))),
+            np.array([op[3]["flop_pairs"] for op in run]),
+            mem=np.array([row for mem in mems for row in mem],
+                         dtype=np.int64),
+            mem_counts=np.array([len(mem) for mem in mems], dtype=np.int64),
+            burst=op["burst"], nested=op["nested"])
+    assert i == len(ops)
+    return trace
+
+
+#: Per-op records before, between and after blocks, and an empty block;
+#: the second block holds ops with empty operands.
+_RUNS = [(False, 5), (True, 0), (True, 12), (False, 3), (True, 30),
+         (True, 1), (False, 4), (True, 5)]
+
+
+class TestAddOps:
+    """A block of ``add_ops`` records what one ``add_op_keys`` per op
+    records."""
+
+    @pytest.mark.parametrize("compact_elems", [1, 300, COMPACT_ELEMS])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_equals_per_op_records(self, seed, compact_elems):
+        ops = _block_ops(seed, _RUNS)
+        one = _record_runs(ops, _RUNS, compact_elems, bulk=False)
+        many = _record_runs(ops, _RUNS, compact_elems, bulk=True)
+        assert many.num_ops == one.num_ops == len(ops)
+        got, want = many.freeze(), one.freeze()
+        assert got == want
+        assert got.cpu_mem.tobytes() == want.cpu_mem.tobytes()
+        assert got.sc_mem.tobytes() == want.sc_mem.tobytes()
+        assert _saved_bytes(many) == _saved_bytes(one)
+
+    def test_block_of_no_ops(self):
+        trace = _mixed_trace()
+        frozen = trace.freeze()
+        empty = np.empty(0, dtype=np.int64)
+        trace.add_ops(OpKind.VINTER, empty, empty, empty, empty, empty,
+                      mem=empty, mem_counts=empty)
+        assert trace.num_ops == 30
+        assert trace.freeze() is frozen
+
+    def test_charges_need_a_log(self):
+        keys = np.array([1, 2], dtype=np.int64)
+        sizes = np.array([2], dtype=np.int64)
+        trace = ColumnarTrace("t")
+        with pytest.raises(ValueError):
+            trace.add_ops(OpKind.VINTER, keys, sizes, keys, sizes, sizes,
+                          mem=np.array([0]), mem_counts=np.array([1]))
+        trace.add_ops(OpKind.VINTER, keys, sizes, keys, sizes, sizes,
+                      mem=np.empty(0, dtype=np.int64),
+                      mem_counts=np.zeros(1, dtype=np.int64))
+        assert trace.freeze().cpu_mem.tolist() == [0.0]
 
 
 def _mixed_trace():

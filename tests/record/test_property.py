@@ -1,11 +1,12 @@
 """Property tests: the recorder matches the per-op reference on real
 ``Machine`` programs.
 
-Hypothesis generates small stream programs (loads and binary key/value
-ops with optional bounds) and runs each on a
-:class:`~repro.machine.context.Machine` whose trace is a tee: every op
-the machine defers to its :class:`~repro.record.columnar.ColumnarTrace`
-is also analysed on the spot with
+Hypothesis generates small stream programs (loads, binary key/value
+ops with optional bounds, and two-by-two ``vinter_sweep`` blocks) and
+runs each on a :class:`~repro.machine.context.Machine` whose trace is a
+tee: every op the machine records into its
+:class:`~repro.record.columnar.ColumnarTrace`, one at a time or as a
+block, is also analysed on the spot with
 :func:`~repro.streams.runstats.analyze_pair` and recorded into an
 :class:`~repro.arch.trace.Trace`.  The two frozen op columns must agree
 in value and dtype, and — with the scalar counters carried over — the
@@ -35,7 +36,8 @@ _KEYS = st.lists(st.integers(min_value=0, max_value=300),
                  min_size=0, max_size=40)
 _OP = st.tuples(
     st.sampled_from(["intersect", "subtract", "merge", "intersect_count",
-                     "subtract_count", "merge_count", "vinter", "vmerge"]),
+                     "subtract_count", "merge_count", "vinter", "vmerge",
+                     "vinter_sweep"]),
     _KEYS,
     _KEYS,
     st.one_of(st.just(UNBOUNDED), st.integers(min_value=1, max_value=300)),
@@ -56,6 +58,10 @@ class _TeeTrace(ColumnarTrace):
         self.reference.add_op_keys(kind, a_keys, b_keys, bound, **op)
         super().add_op_keys(kind, a_keys, b_keys, bound, **op)
 
+    def add_ops(self, *args, **ops):
+        self.reference.add_ops(*args, **ops)
+        super().add_ops(*args, **ops)
+
 
 def _as_keys(values):
     return np.unique(np.asarray(values, dtype=np.int64))
@@ -73,6 +79,12 @@ def _run_program(program):
         b = machine.load_values(b_keys, b_keys * 2.0, ("prop-b", i))
         if op == "vinter":
             machine.vinter(a, b, bound=bound)
+        elif op == "vinter_sweep":
+            # Both streams against both, loaded again: a block of ops.
+            streams = ([a_keys, b_keys], [a.values, b.values],
+                       [("prop-a", i), ("prop-b", i)])
+            machine.vinter_sweep(machine.sweep_streams(*streams, 1),
+                                 machine.sweep_streams(*streams))
         elif op == "vmerge":
             machine.vmerge(1.0, a, -1.0, b)
         elif op.startswith("merge"):

@@ -128,6 +128,47 @@ class TestVInter:
         assert "SUMPAIR" in ValueOp.names()
 
 
+class TestVInterMacCross:
+    """Every pair of the cross product equals ``vinter`` on the pair."""
+
+    @staticmethod
+    def _streams(rng, n, universe, offset):
+        out = []
+        for _ in range(n):
+            k = np.flatnonzero(rng.random(universe) < rng.random())
+            out.append((k.astype(np.int64) + offset,
+                        rng.standard_normal(k.size)))
+        return out
+
+    @pytest.mark.parametrize("offset", [0, -40, 2 ** 61])
+    def test_matches_vinter_per_pair(self, offset):
+        rng = np.random.default_rng(11)
+        a = self._streams(rng, 5, 300, offset)
+        b = self._streams(rng, 6, 300, offset)
+        b.insert(2, (keys(), np.empty(0)))
+        if offset == 2 ** 61:
+            # Keys spanning 2 ** 61 in seven streams would overflow the
+            # shifted keys unless the b side is split.
+            a[1] = (np.append(a[1][0], 2 ** 62), np.append(a[1][1], 1.5))
+        counts, values = ops.vinter_mac_cross(
+            *(np.concatenate(x) for x in zip(*a)),
+            np.array([k.size for k, _ in a]),
+            *(np.concatenate(x) for x in zip(*b)),
+            np.array([k.size for k, _ in b]))
+        assert counts.shape == values.shape == (5, 7)
+        for i, (ak, av) in enumerate(a):
+            for j, (bk, bv) in enumerate(b):
+                want = ops.vinter(ak, av, bk, bv, "MAC")
+                assert values[i, j].tobytes() == np.float64(want).tobytes()
+                assert counts[i, j] == ops.intersect_count(ak, bk)
+        assert counts.max() >= 8
+
+    def test_repeat_streams(self):
+        x = np.arange(6)
+        idx = ops.repeat_streams(np.array([2, 0, 3, 1]), 2)
+        assert x[idx].tolist() == [0, 1, 0, 1, 2, 3, 4, 2, 3, 4, 5, 5]
+
+
 class TestVMerge:
     def test_paper_example(self):
         out_k, out_v = ops.vmerge(

@@ -1,13 +1,18 @@
 """The inner-product and TTM kernels record what the per-op loop records.
 
 :func:`~repro.tensorops.spmspm.spmspm_inner` and
-:func:`~repro.tensorops.ttm.ttm` record each row of A (each fiber) with
-one :meth:`~repro.machine.context.Machine.vinter_sweep` call.  Every
-kernel runs here twice: on the shipped :class:`Machine` and on
+:func:`~repro.tensorops.ttm.ttm` record their whole cross product (A's
+rows against B's columns, A's fibers against B's rows) with one
+:meth:`~repro.machine.context.Machine.vinter_sweep` call.  Every kernel
+runs here twice: on the shipped :class:`Machine` and on
 :class:`_PerOpMachine`, whose ``vinter_sweep`` is the reference loop of
-one ``load_values`` and one ``vinter`` per pair.  Results must be
-identical and frozen traces byte-identical, on small random inputs and
-on the Chicago Crime TTM run of Figure 15, which no run golden pins.
+one ``load_values`` per row, then one ``load_values`` and one
+``vinter`` per pair.  Results must be identical and frozen traces
+byte-identical, on small random inputs and on the Figure 15 runs no run
+golden pins that record the most ops: the inner product on H and TTM on
+Chicago Crime and Uber.  The run metrics, goldens and reference digests
+hold no result value, so these are the checks of C and Z at suite
+scale.
 """
 
 import numpy as np
@@ -17,21 +22,27 @@ from hypothesis import strategies as st
 from repro.arch.trace import _ARRAY_FIELDS, _SCALAR_FIELDS
 from repro.machine.context import Machine
 from repro.tensor import CSFTensor, SparseMatrix
-from repro.tensor.datasets import load_tensor
+from repro.tensor.datasets import load_matrix, load_tensor
 from repro.tensorops import spmspm_inner, ttm
 from repro.workloads.pricing import tensor_operands
 
 
 class _PerOpMachine(Machine):
-    """A machine whose row sweeps issue one load and one op per pair."""
+    """A machine whose sweeps load each row, then issue one load and one
+    op per pair."""
 
     __slots__ = ()
 
-    def vinter_sweep(self, a, sweep):
-        return np.array([
-            self.vinter(a, self.load_values(k, v, g, sweep.priority), "MAC")
-            for k, v, g in zip(sweep.keys, sweep.vals, sweep.granules)],
-            dtype=np.float64)
+    def vinter_sweep(self, rows, sweep):
+        out = np.zeros((len(rows), len(sweep)))
+        for i, (keys, vals, granule) in enumerate(zip(
+                rows.keys, rows.vals, rows.granules)):
+            a = self.load_values(keys, vals, granule, rows.priority)
+            for j, (k, v, g) in enumerate(zip(sweep.keys, sweep.vals,
+                                              sweep.granules)):
+                out[i, j] = self.vinter(
+                    a, self.load_values(k, v, g, sweep.priority), "MAC")
+        return out
 
 
 def _random_matrix(m, n, density, seed):
@@ -91,3 +102,18 @@ def test_ttm_on_chicago_crime_matches_per_op_loop():
     trace = _assert_same_run(ttm, tensor, matrix)
     assert trace.num_ops > 50_000
     assert trace.flop_pairs.max() >= 8
+
+
+def test_ttm_on_uber_matches_per_op_loop():
+    tensor = load_tensor("U")
+    _, matrix = tensor_operands(tensor)
+    trace = _assert_same_run(ttm, tensor, matrix)
+    assert trace.num_ops > 90_000
+    assert trace.flop_pairs.max() >= 3
+
+
+def test_spmspm_inner_on_h_matches_per_op_loop():
+    matrix = load_matrix("H")
+    trace = _assert_same_run(spmspm_inner, matrix, matrix)
+    assert trace.num_ops > 150_000
+    assert trace.flop_pairs.max() >= 3
