@@ -152,10 +152,6 @@ class Trace:
                 self.cpu_only_scalar_instrs, self.sc_only_scalar_instrs)
         return self._frozen
 
-    def stream_lengths(self) -> np.ndarray:
-        """Effective operand element counts per op (Figure 14 data)."""
-        return self.freeze().eff_elems
-
     def __repr__(self) -> str:
         return f"Trace({self.name!r}, ops={self.num_ops})"
 

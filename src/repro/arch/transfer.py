@@ -12,8 +12,9 @@ both sides consistently.
 stream load (:meth:`~TransferModel.load_stream`) or a value gather
 (:meth:`~TransferModel.load_values`) is one row — an interned integer
 granule id, its bytes and its kind (a stream at priority 0, a stream
-the scratchpad may keep, or a value gather) — and the call returns the
-row's index; the bulk recorders append their rows as arrays
+the scratchpad may keep, or a value gather), logged by one
+:meth:`~TransferModel._log` — and the call returns the row's index;
+the bulk recorders append their rows as arrays
 (:meth:`~TransferModel.append`).  An op names the rows it is charged
 for, in the order its charge sums them, and its trace asks for the sums
 (:meth:`~TransferModel.charges`) when it analyses its ops.
@@ -111,9 +112,6 @@ class TransferModel:
         #: levels that served it (:meth:`_decode`)
         self._chunks: list[tuple] = []
         self._starts: list[int] = []
-        self._reset_levels()
-
-    def _reset_levels(self) -> None:
         cache = self.config.cache
         self._scratchpad = LruLevel(self.config.scratchpad_bytes)
         self._cpu = (LruLevel(cache.l1d_bytes), LruLevel(cache.l2_bytes),
@@ -157,15 +155,7 @@ class TransferModel:
         ``key`` is a stable granule identity (e.g. ``("edges", v)``);
         ``priority`` is the compiler-assigned scratchpad priority.
         """
-        gid = self._ids.get(key)
-        if gid is None:
-            gid = self.granule_id(key)
-        self._gid.append(gid)
-        self._nbytes.append(nbytes)
-        self._kind.append(PRIORITY if priority > 0 else STREAM)
-        row = self._rows
-        self._rows = row + 1
-        return row
+        return self._log(key, nbytes, PRIORITY if priority > 0 else STREAM)
 
     def load_values(self, key: tuple, nbytes: int) -> int:
         """Log one value gather of granule ``key``; returns its row.
@@ -176,12 +166,16 @@ class TransferModel:
         gathers in flight (Section 4.5), so only the demand latency
         divided by :data:`VALUE_GATHER_MLP` is charged; the CPU's
         scalar loop exposes all of it."""
+        return self._log(key, nbytes, VALUE)
+
+    def _log(self, key: tuple, nbytes: int, kind: int) -> int:
+        """Log one row of granule ``key``; returns its index."""
         gid = self._ids.get(key)
         if gid is None:
             gid = self.granule_id(key)
         self._gid.append(gid)
         self._nbytes.append(nbytes)
-        self._kind.append(VALUE)
+        self._kind.append(kind)
         row = self._rows
         self._rows = row + 1
         return row
@@ -332,11 +326,6 @@ class TransferModel:
         chunk = bisect_right(self._starts, row) - 1
         code = int(self._chunks[chunk][2][row - self._starts[chunk]])
         return code >> 5 == SCRATCHPAD
-
-    def reset(self) -> None:
-        """Price the rows logged so far, then start every level cold."""
-        self.price()
-        self._reset_levels()
 
     # -- probe counters ------------------------------------------------------
 

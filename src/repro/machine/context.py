@@ -16,8 +16,11 @@ ops at once, exactly as the per-op calls would: ``vinter_sweep`` a
 kernel's whole cross product of ``S_VREAD`` + ``S_VINTER`` pairs (the
 inner-product SpMSpM and TTM), ``count_sweep`` a whole GPM counting
 level under one DFS node, and ``nest_intersect`` every sub-op of one
-``S_NESTINTER``; each appends its log rows as arrays.  Ops reach the
-trace one at a time through
+``S_NESTINTER``; each appends its log rows as arrays.  A sweep block
+is one slot table: the masked table is its log, and one column
+permutation of it each op's charged rows.  The GPM calls log their
+edge lists through one ``_load_edge_lists``.  Ops reach the trace one
+at a time through
 :meth:`~repro.record.columnar.ColumnarTrace.add_op_keys`, and
 ``vinter_sweep``'s as blocks of arrays through
 :meth:`~repro.record.columnar.ColumnarTrace.add_ops`, probed or not;
@@ -82,10 +85,6 @@ class StreamOperand:
 
     def __len__(self) -> int:
         return int(self.keys.size)
-
-    @property
-    def has_values(self) -> bool:
-        return self.values is not None
 
     def take_pending(self) -> int | None:
         row, self.pending = self.pending, None
@@ -545,7 +544,14 @@ class Machine:
     def _vinter_block(self, rows: StreamSweep, lo: int, hi: int,
                       sweep: StreamSweep) -> np.ndarray:
         """Record rows ``lo:hi`` of :meth:`vinter_sweep`; returns their
-        values."""
+        values.
+
+        The block is one slot table with a row per row of ``rows``: its
+        first column is the row's load, then pair ``j`` (op ``i*s + j``)
+        has three columns, its stream's load and the gathers of a's
+        values and of b's.  A mask marks the slots that log a row (the
+        loads of streams with a granule, the gathers of matching pairs);
+        the masked table read row by row is the loop's log."""
         r, s = hi - lo, len(sweep)
         sizes = rows.sizes[lo:hi]
         k0, k1 = int(rows.starts[lo]), int(rows.starts[hi - 1] + sizes[-1])
@@ -553,63 +559,40 @@ class Machine:
         counts, values = ops.vinter_mac_cross(
             a_keys, rows.flat_vals[k0:k1], sizes, sweep.flat_keys,
             sweep.flat_vals, sweep.sizes)
-        counts = counts.ravel()
-        # The log, in the loop's order: row i's load (if it has a
-        # granule), then per pair its stream's load and, when it
-        # matches, the gathers of a's values and of b's.  Op o = i*s + j.
-        row_load = rows.gids[lo:hi] >= 0
-        pair_load = np.tile(sweep.gids >= 0, r)
+
+        def table(row, load, a, b, dtype=np.int64):
+            t = np.empty((r, 1 + 3 * s), dtype=dtype)
+            t[:, 0], t[:, 1::3], t[:, 2::3], t[:, 3::3] = row, load, a, b
+            return t
+
+        row_load, pair_load = rows.gids[lo:hi] >= 0, sweep.gids >= 0
         match = counts > 0
-        gather_a = match & np.repeat(row_load, s)
-        gather_b = match & pair_load
-        width = (pair_load.astype(np.int64) + gather_a) + gather_b
-        loads_so_far = np.cumsum(row_load)
-        row_width = width.reshape(r, s).sum(axis=1)
-        row_at = loads_so_far - row_load + np.cumsum(row_width) - row_width
-        load_at = np.repeat(loads_so_far, s) + np.cumsum(width) - width
-        a_at = load_at + pair_load
-        b_at = a_at + gather_a
-        n_rows = int(loads_so_far[-1] + row_width.sum())
-        gids = np.empty(n_rows, dtype=np.int64)
-        nbytes = np.empty(n_rows, dtype=np.int64)
-        kinds = np.full(n_rows, VALUE, dtype=np.uint8)
-        at = row_at[row_load]
-        gids[at] = rows.gids[lo:hi][row_load]
-        nbytes[at] = rows.nbytes[lo:hi][row_load]
-        kinds[at] = rows.kind
-        at = load_at[pair_load]
-        gids[at] = np.tile(sweep.gids, r)[pair_load]
-        nbytes[at] = np.tile(sweep.nbytes, r)[pair_load]
-        kinds[at] = sweep.kind
+        mask = table(row_load, pair_load, match & row_load[:, None],
+                     match & pair_load, bool)
         gathered = counts * _VALUE_BYTES
-        gids[a_at[gather_a]] = np.repeat(rows.vgids[lo:hi], s)[gather_a]
-        nbytes[a_at[gather_a]] = gathered[gather_a]
-        gids[b_at[gather_b]] = np.tile(sweep.vgids, r)[gather_b]
-        nbytes[b_at[gather_b]] = gathered[gather_b]
-        first = self.transfer.append(gids, nbytes, kinds)
-        # Each op's rows, as _record() sums them: the gathers, the row's
+        gids = table(rows.gids[lo:hi], sweep.gids, rows.vgids[lo:hi, None],
+                     sweep.vgids)[mask]
+        first = self.transfer.append(
+            gids,
+            table(rows.nbytes[lo:hi], sweep.nbytes, gathered, gathered)[mask],
+            table(rows.kind, sweep.kind, VALUE, VALUE, np.uint8)[mask])
+        # The log row of each slot (-1: it logs none).
+        at = np.full(mask.shape, -1, dtype=np.int64)
+        at[mask] = np.arange(first, first + gids.size)
+        # Each op's slots as _record() sums them: the gathers, the row's
         # load on the row's first op, the pair's load.
-        row_first = np.zeros((r, s), dtype=bool)
-        row_first[:, :1] = row_load[:, None]
-        row_first = row_first.ravel()
-        n_mem = (gather_a + gather_b.astype(np.int64)) + row_first + pair_load
-        m_at = np.cumsum(n_mem) - n_mem
-        mem = np.empty(int(n_mem.sum()), dtype=np.int64)
-        mem[m_at[gather_a]] = first + a_at[gather_a]
-        m_at += gather_a
-        mem[m_at[gather_b]] = first + b_at[gather_b]
-        m_at += gather_b
-        mem[m_at[row_first]] = first + np.repeat(row_at, s)[row_first]
-        m_at += row_first
-        mem[m_at[pair_load]] = first + load_at[pair_load]
+        order = np.arange(1, 1 + 3 * s).reshape(s, 3)[:, [1, 2, 0]].ravel()
+        order = np.concatenate((order[:2], [0], order[2:]))
+        n_mem = mask[:, 1:].reshape(r, s, 3).sum(axis=2)
+        n_mem[:, :1] += mask[:, :1]
         op = self.trace.num_ops
         if self.obs.enabled:
-            self._observe_sweep(rows, lo, hi, sweep, first + row_at,
-                                first + load_at, op)
+            self._observe_sweep(rows, lo, hi, sweep, at, op)
         self.trace.add_ops(
             OpKind.VINTER, a_keys[ops.repeat_streams(sizes, s)],
             np.repeat(sizes, s), np.tile(sweep.flat_keys, r),
-            np.tile(sweep.sizes, r), counts, mem=mem, mem_counts=n_mem,
+            np.tile(sweep.sizes, r), counts.ravel(),
+            mem=at[:, order][mask[:, order]], mem_counts=n_mem.ravel(),
             burst=self._burst)
         self.trace.shared_scalar_instrs += OP_SETUP_INSTRS * r * s
         if self.record_lengths:
@@ -619,22 +602,21 @@ class Machine:
             self.length_samples += lengths.ravel().tolist()
         return values
 
-    def _observe_sweep(self, rows, lo, hi, sweep, row_at, load_at,
-                       op) -> None:
+    def _observe_sweep(self, rows, lo, hi, sweep, at, op) -> None:
         """Observe the loads of rows ``lo:hi`` of a sweep whose first op
         is ``op``: row ``i``'s before its first op, each pair's before
-        its own (``row_at``/``load_at``: their log rows)."""
+        its own (their log rows are the load columns of the block's
+        slot table ``at``)."""
         s = len(sweep)
         loaded = [(j, g, n) for j, (g, n) in enumerate(
             zip(sweep.granules, sweep.nbytes.tolist())) if g is not None]
-        for i, (granule, nbytes) in enumerate(zip(
-                rows.granules[lo:hi], rows.nbytes[lo:hi].tolist())):
+        for i, (granule, nbytes, row, loads) in enumerate(zip(
+                rows.granules[lo:hi], rows.nbytes[lo:hi].tolist(),
+                at[:, 0].tolist(), at[:, 1::3].tolist())):
             if granule is not None:
-                self._observe_load(granule, nbytes, int(row_at[i]),
-                                   op + i * s)
+                self._observe_load(granule, nbytes, row, op + i * s)
             for j, granule, nbytes in loaded:
-                o = i * s + j
-                self._observe_load(granule, nbytes, int(load_at[o]), op + o)
+                self._observe_load(granule, nbytes, loads[j], op + i * s + j)
 
     def vmerge(self, alpha: float, a: StreamOperand,
                beta: float, b: StreamOperand) -> StreamOperand:
@@ -695,8 +677,8 @@ class Machine:
         lists are cut at their bounds by one ``searchsorted`` over
         ``graph.edge_keys``, and each step tests every candidate with
         one more (a candidate ``c`` of child ``j`` is in
-        ``N(verts[i, j])`` when that edge exists); the loads are
-        appended to the access log as arrays, so each op pays only its
+        ``N(verts[i, j])`` when that edge exists); the loads are one
+        :meth:`_load_edge_lists` append, so each op pays only its
         deferred record.
         """
         n = verts.shape[1]
@@ -708,9 +690,8 @@ class Machine:
         hi = indptr[verts + 1]
         end = hi if bounds is None else edge_keys.searchsorted(
             verts * span + np.minimum(bounds, span))
-        lo_l, hi_l = lo.tolist(), hi.tolist()
         views = [[indices[i:j] for i, j in zip(row_lo, row_end)]
-                 for row_lo, row_end in zip(lo_l, end.tolist())]
+                 for row_lo, row_end in zip(lo.tolist(), end.tolist())]
         # The candidates of every child, in child order, with the child
         # each belongs to; op i keeps or drops each of them at once.
         cand = np.concatenate(views[-1])
@@ -738,22 +719,13 @@ class Machine:
                 np.logical_not(hit, out=hit)
             cand, owner = cand[hit], owner[hit]
 
-        observed = self.obs.enabled
         defer, burst = self._defer, self._burst
-        edges = ("edges", id(graph))
         # Child j loads its rows' edge lists in row order.
         n_rows = verts.shape[0]
-        first = self.transfer.append(
-            self.transfer.granule_ids(edges, verts.T.ravel()),
-            ((hi - lo) * KEY_BYTES).T.ravel(), STREAM)
-        loads = list(zip(verts.tolist(), lo_l, hi_l))
+        first = self._load_edge_lists(graph, verts.T.ravel(), len(records),
+                                      n_rows)
         for j in range(n):
             rows = range(first + j * n_rows, first + (j + 1) * n_rows)
-            if observed:
-                for row, (v, row_lo, row_hi) in zip(rows, loads):
-                    self._observe_load(edges + (v[j],),
-                                       (row_hi[j] - row_lo[j]) * KEY_BYTES,
-                                       row, self.trace.num_ops)
             # As _record() sums them: the base's charge, then the step's.
             mem = (rows[-1],)
             for i, (kind, a_views, b_views) in enumerate(records):
@@ -797,7 +769,6 @@ class Machine:
             if not keys.size:
                 return 0
             lo = graph.indptr[keys]
-            degree = graph.indptr[keys + 1] - lo
             end = graph.edge_keys.searchsorted(keys * graph.num_vertices
                                                + keys)
             below = [graph.indices[i:j]
@@ -805,24 +776,34 @@ class Machine:
             found = np.concatenate(below)
             total = int(np.count_nonzero(
                 keys.take(keys.searchsorted(found), mode="clip") == found))
-            observed = self.obs.enabled
-            defer = self._defer
-            edges, kind = ("edges", id(graph)), OpKind.INTERSECT
-            first = self.transfer.append(
-                self.transfer.granule_ids(edges, keys), degree * KEY_BYTES,
-                STREAM)
-            degree = degree.tolist()
-            for i, s_i in enumerate(keys.tolist()):
+            first = self._load_edge_lists(graph, keys)
+            defer, kind = self._defer, OpKind.INTERSECT
+            for i in range(keys.size):
                 row = first + i
-                if observed:
-                    self._observe_load(edges + (s_i,), degree[i] * KEY_BYTES,
-                                       row, self.trace.num_ops)
                 # The load's charge, then S's pending one.
                 defer(kind, keys[:i], below[i], burst=burst, nested=True,
                       mem=(row,) if pending is None else (row, pending))
                 pending = None
             self.trace.add_cpu_scalar(CPU_NESTED_LOOP_INSTRS * keys.size)
             if self.record_lengths:
-                for size in degree:
+                for size in (graph.indptr[keys + 1] - lo).tolist():
                     self.length_samples += (keys.size, size)
         return total
+
+    def _load_edge_lists(self, graph, verts: np.ndarray, ops: int = 1,
+                         group: int = 1) -> int:
+        """Log the edge-list loads of ``verts`` (in load order, at
+        priority 0) as one append; returns the first row.  Each group of
+        ``group`` loads feeds the next ``ops`` ops, so a probe sees load
+        ``i`` fetched before op ``num_ops + (i // group) * ops``."""
+        indptr, edges = graph.indptr, ("edges", id(graph))
+        nbytes = (indptr[verts + 1] - indptr[verts]) * KEY_BYTES
+        first = self.transfer.append(
+            self.transfer.granule_ids(edges, verts), nbytes, STREAM)
+        if self.obs.enabled:
+            op = self.trace.num_ops
+            for i, (v, size) in enumerate(zip(verts.tolist(),
+                                              nbytes.tolist())):
+                self._observe_load(edges + (v,), size, first + i,
+                                   op + i // group * ops)
+        return first

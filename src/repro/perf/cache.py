@@ -166,11 +166,6 @@ class RunCache:
         #: resilience counter sink (defaults to the process registry)
         self.counters = RES_COUNTERS if counters is None else counters
 
-    # -- keys --------------------------------------------------------------
-
-    def key(self, kind: str, params: dict) -> str:
-        return fingerprint(kind, params)
-
     def _paths(self, key: str) -> tuple[Path, Path]:
         return self.root / f"{key}.npz", self.root / f"{key}.json"
 

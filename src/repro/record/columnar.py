@@ -26,8 +26,10 @@ operand pair into two flat key arrays (:func:`analyze_flat` takes them
 so), offsetting each operation's keys
 by ``op_id * K`` (``K`` greater than any key) so one global sorted
 union interleaves all operations at once while keeping them disjoint.
-Per-op statistics then fall out of ``bincount`` aggregations over the
-union's source labels and run boundaries — the exact quantities
+Two binary searches give every key its rank in that union, which is
+never built.  Per-op statistics then fall out of ``bincount``
+aggregations over the union's source labels and run boundaries — the
+exact quantities
 :func:`~repro.streams.runstats.analyze_pair` defines, including the
 terminal-run exemption of the intersection cycle count.
 
@@ -100,44 +102,43 @@ def analyze_flat(A: np.ndarray, na: np.ndarray, B: np.ndarray,
         return tuple(np.concatenate((lo, hi))
                      for lo, hi in zip(left, right))
 
-    op_ids = np.arange(n, dtype=np.int64) * K
-    A2 = A + np.repeat(op_ids, na) + shift
-    B2 = B + np.repeat(op_ids, nb) + shift
+    op_ids = np.arange(n, dtype=np.int64)
+    A2 = A + np.repeat(op_ids * K, na) + shift
+    B2 = B + np.repeat(op_ids * K, nb) + shift
 
     # The offsets make A2 and B2 *globally* strictly increasing, so the
-    # union of all ops falls out of three binary searches: find B keys
-    # present in A (matches), then each side's merge rank (its own index
-    # plus the count of other-side-exclusive keys before it).
+    # union of all ops falls out of two binary searches: B's keys in A
+    # (the matches, and each unmatched B key's count of A keys before
+    # it), then A's keys in B's unmatched ones.  A key's merge rank is
+    # its own index plus the other side's keys before it.
     posB = np.searchsorted(A2, B2)
     matchB = np.zeros(B2.size, dtype=bool)
     inside = posB < A2.size
     matchB[inside] = A2[posB[inside]] == B2[inside]
-    b_only = B2[~matchB]
+    onlyB = ~matchB
+    b_only = B2[onlyB]
     posA_u = np.arange(A2.size, dtype=np.int64) \
         + np.searchsorted(b_only, A2)
-    posB_u = np.arange(b_only.size, dtype=np.int64) \
-        + np.searchsorted(A2, b_only)
-    union = np.empty(A2.size + b_only.size, dtype=np.int64)
-    union[posA_u] = A2
-    union[posB_u] = b_only
-    src = np.empty(union.size, dtype=np.int8)  # 1=A, 2=B, 3=both
+    posB_u = np.arange(b_only.size, dtype=np.int64) + posB[onlyB]
+    size = A2.size + b_only.size
+    src = np.empty(size, dtype=np.int8)  # 1=A, 2=B, 3=both
     srcA = np.ones(A2.size, dtype=np.int8)
     srcA[posB[matchB]] = 3
     src[posA_u] = srcA
     src[posB_u] = 2
-    op_u = union // K
 
-    n_matches = np.bincount(
-        np.repeat(np.arange(n, dtype=np.int64), nb)[matchB], minlength=n)
+    n_matches = np.bincount(np.repeat(op_ids, nb)[matchB], minlength=n)
     n_union = na + nb - n_matches
+    # Each op's union slots are contiguous, in op order.
+    op_u = np.repeat(op_ids, n_union)
 
     # Run boundaries: the source changes *or* a new operation starts.
-    change = np.empty(union.size, dtype=bool)
+    change = np.empty(size, dtype=bool)
     change[0] = True
     np.logical_or(src[1:] != src[:-1], op_u[1:] != op_u[:-1],
                   out=change[1:])
     run_starts = np.flatnonzero(change)
-    run_lens = np.diff(np.append(run_starts, union.size))
+    run_lens = np.diff(np.append(run_starts, size))
     run_src = src[run_starts]
     run_op = op_u[run_starts]
     n_runs = np.bincount(run_op, minlength=n)
@@ -354,10 +355,6 @@ class ColumnarTrace:
                 self.name, cols, self.shared_scalar_instrs,
                 self.cpu_only_scalar_instrs, self.sc_only_scalar_instrs)
         return self._frozen
-
-    def stream_lengths(self) -> np.ndarray:
-        """Effective operand element counts per op (Figure 14 data)."""
-        return self.freeze().eff_elems
 
     def __repr__(self) -> str:
         return f"ColumnarTrace({self.name!r}, ops={self.num_ops})"

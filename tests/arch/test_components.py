@@ -148,9 +148,3 @@ class TestTransferModel:
         assert cost.cpu_cycles > 0
         assert cost.sc_cycles > 0
 
-    def test_reset(self):
-        tm = TransferModel(SparseCoreConfig())
-        tm.load_stream(("edges", 1), 64, priority=1)
-        tm.reset()
-        cost = tm.cost(tm.load_stream(("edges", 1), 64, priority=1))
-        assert not cost.scratchpad_hit

@@ -54,12 +54,6 @@ class TestTrace:
         t = Trace()
         assert t.new_burst() != t.new_burst()
 
-    def test_stream_lengths(self):
-        t = Trace()
-        st = analyze_pair(keys(1, 2, 3), keys(4, 5))
-        t.add_op(OpKind.INTERSECT, st)
-        assert t.stream_lengths().tolist() == [5]
-
 
 class TestCpuModel:
     def test_empty_trace_zero(self):

@@ -61,7 +61,7 @@ class TestRoundTrip:
     def test_trace_round_trip(self, cache):
         trace = _record_trace()
         lengths = np.arange(7, dtype=np.int64)
-        key = cache.key("gpm", {"x": 1})
+        key = fingerprint("gpm", {"x": 1})
         cache.put(key, trace, meta={"kind": "gpm", "count": 42},
                   lengths=lengths)
         hit = cache.get(key)
@@ -84,14 +84,14 @@ class TestRoundTrip:
 
     def test_miss_on_corrupt_npz(self, cache):
         trace = _record_trace()
-        key = cache.key("gpm", {"x": 2})
+        key = fingerprint("gpm", {"x": 2})
         cache.put(key, trace, meta={"kind": "gpm"})
         (cache.root / f"{key}.npz").write_bytes(b"not an npz archive")
         assert cache.get(key) is None
 
     def test_miss_on_format_version_mismatch(self, cache):
         trace = _record_trace()
-        key = cache.key("gpm", {"x": 3})
+        key = fingerprint("gpm", {"x": 3})
         cache.put(key, trace, meta={"kind": "gpm"})
         sidecar = cache.root / f"{key}.json"
         meta = json.loads(sidecar.read_text())
@@ -102,7 +102,7 @@ class TestRoundTrip:
     def test_stats_and_clear(self, cache):
         trace = _record_trace()
         for i in range(3):
-            cache.put(cache.key("gpm", {"i": i}), trace,
+            cache.put(fingerprint("gpm", {"i": i}), trace,
                       meta={"kind": "gpm"})
         stats = cache.stats()
         assert stats["entries"] == 3
@@ -121,7 +121,7 @@ class TestFormatVersionReporting:
 
     def _plant(self, cache, version):
         trace = _record_trace()
-        key = cache.key("gpm", {"v": version if version is not None else -1})
+        key = fingerprint("gpm", {"v": version if version is not None else -1})
         cache.put(key, trace, meta={"kind": "gpm"})
         sidecar = cache.root / f"{key}.json"
         meta = json.loads(sidecar.read_text())

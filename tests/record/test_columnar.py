@@ -203,12 +203,6 @@ class TestColumnarTrace:
         assert cols.freeze() is not first
         assert cols.freeze().num_ops == 2
 
-    def test_stream_lengths_match_rows(self):
-        rng = np.random.default_rng(17)
-        rows, cols = _record_both(_random_ops(rng, 20))
-        np.testing.assert_array_equal(rows.stream_lengths(),
-                                      cols.stream_lengths())
-
     def test_new_burst_allocates(self):
         cols = ColumnarTrace("t")
         assert cols.new_burst() == 1

@@ -17,7 +17,8 @@ from repro.arch.trace import FrozenTrace
 from repro.errors import CacheCorruptionError
 from repro.gpm.apps import run_app
 from repro.graph.datasets import load_graph
-from repro.perf.cache import CACHE_FORMAT_VERSION, QUARANTINE_DIR, RunCache
+from repro.perf.cache import (CACHE_FORMAT_VERSION, QUARANTINE_DIR, RunCache,
+                              fingerprint)
 from repro.resilience.faults import FaultPlan, FaultPoint, install, uninstall
 from repro.resilience.metrics import resilience_snapshot
 
@@ -36,7 +37,7 @@ def cache(tmp_path):
 
 
 def _store(cache, trace, tag="x") -> str:
-    key = cache.key("gpm", {"tag": tag})
+    key = fingerprint("gpm", {"tag": tag})
     assert cache.put(key, trace, meta={"kind": "gpm", "tag": tag},
                      lengths=np.arange(5, dtype=np.int64))
     return key
@@ -225,7 +226,7 @@ class TestInjectedFaults:
         install(FaultPlan(points=(
             FaultPoint("cache.write", "oserror", times=99),)))
         try:
-            key = cache.key("gpm", {"tag": "w"})
+            key = fingerprint("gpm", {"tag": "w"})
             assert cache.put(key, trace, meta={"kind": "gpm"}) is False
         finally:
             uninstall()
